@@ -36,6 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import _fsum_chunked
+
 __all__ = [
     "ThetaIndex",
     "PiecewiseDyadic",
@@ -194,13 +196,6 @@ def inner_product(alpha, beta) -> float:
     return float(Fraction(total, 1 << level))
 
 
-def _fsum_parts(x: np.ndarray) -> float:
-    if x.size <= 4096:
-        return math.fsum(x.tolist())
-    return math.fsum(math.fsum(x[i:i + 4096].tolist())
-                     for i in range(0, x.size, 4096))
-
-
 def fourier_coeff(k: int, m: int) -> complex:
     """(theta_k)_m = (1/2) integral_{-1}^1 theta_k(x) e^(-i pi m x) dx, exactly.
 
@@ -218,11 +213,11 @@ def fourier_coeff(k: int, m: int) -> complex:
     j = np.arange(n_cells + 1, dtype=np.int64)
     signs = (2 * (j[:-1] & 1) - 1).astype(np.float64)
     if m == 0:
-        return complex(_fsum_parts(signs) * h / 2.0)
+        return complex(_fsum_chunked(signs) * h / 2.0)
     q = (m * j) % n_cells  # endpoint phase: (-1)^m * exp(-i pi h q)
     endpoint = np.exp(-1j * math.pi * h * q)
     terms = signs * (endpoint[:-1] - endpoint[1:])
-    total = complex(_fsum_parts(terms.real), _fsum_parts(terms.imag))
+    total = complex(_fsum_chunked(terms.real), _fsum_chunked(terms.imag))
     sign_m = -1.0 if m % 2 else 1.0
     return total * sign_m * (-1j) / (2.0 * math.pi * m)
 
@@ -273,7 +268,7 @@ def l2_distance_to_x(pw: PiecewiseDyadic) -> float:
     j = np.arange(n_cells, dtype=np.float64)
     mid = -1.0 + (2.0 * j + 1.0) / n_cells
     sq = h * (pw.cell_values - mid) ** 2 + h ** 3 / 12.0
-    return math.sqrt(_fsum_parts(sq) / 2.0)
+    return math.sqrt(_fsum_chunked(sq) / 2.0)
 
 
 def l2_cauchy_check(A, N: int, M: int, tol: float = 1e-12) -> float:
@@ -299,7 +294,7 @@ def l2_cauchy_check(A, N: int, M: int, tol: float = 1e-12) -> float:
         for k in range(N + 1, M + 1):
             bit = (j >> (M - k)) & 1
             diff += a[k - N - 1] * (2 * bit - 1)
-        integral = math.sqrt(_fsum_parts(diff ** 2) / (1 << M))
+        integral = math.sqrt(_fsum_chunked(diff ** 2) / (1 << M))
     else:
         # expand the square; cross terms are exact implicit inner products
         acc = math.fsum(x * x for x in a)

@@ -66,8 +66,20 @@ _DIMS = (1, 2, 3)
 
 
 def _query_workers() -> int:
-    """Thread count for KD-tree queries (CENTRALSPIN_THREADS, default: all)."""
-    return int(os.environ.get("CENTRALSPIN_THREADS", "-1"))
+    """Thread count for KD-tree queries (CENTRALSPIN_THREADS, default -1: all).
+
+    The package's one thread knob: -1 or a positive integer, anything else
+    is refused with a message that names the variable.
+    """
+    value = os.environ.get("CENTRALSPIN_THREADS", "-1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0  # refused below
+    if workers != -1 and workers < 1:
+        raise ValueError("CENTRALSPIN_THREADS must be -1 (all cores) or a "
+                         f"positive integer, got {value!r}")
+    return workers
 
 
 def _check_dim(d: int) -> None:

@@ -8,15 +8,9 @@ sqrt(S2), S2 = sum_{rho >= r} A(rho)^2, is the cosine product
 
     C_r(t) = prod_{rho >= r} cos(A(rho) t / sqrt(S2)).
 
-A run only sees the points inside the window |p| <= R_max, so each value is
-reported together with a truncation certificate: writing s for the dropped
-part of the normalized square sum, every dropped argument is < 1 (enforced)
-and -log cos x <= x^2 there, hence
-
-    |value(t) - C_r(t)| <= e^(t^2 s) - 1 =: err(t),
-
-clamped to [0, 2] (two is the trivial bound for numbers in [-1, 1]).  The
-certified S2 interval supplies s.  The three structural results checked
+A run only sees the points inside the window |p| <= R_max; every value is
+reported together with a certificate err(t) that bounds its distance from
+C_r(t) (see the error chain below).  The three structural results checked
 here are compact convergence to the Gaussian with the explicit
 (t^4/12) S4/S2^2 rate, the stretched-exponential decay envelope
 exp(-k t^(d/alpha)), and uniform convergence of the sup-distance to the
@@ -24,24 +18,63 @@ Gaussian as the inner cutoff r grows.
 
 Conventions
 -----------
-Values are exact products over the stored points (no series approximation);
-products with more than 10^4 factors switch to log-magnitude + sign
-accumulation to avoid underflow, direct multiplication below (the crossover
-is covered by an equality test).  Evaluation is data-parallel over time
-chunks with ordered combination, so results are independent of the worker
-count (CENTRALSPIN_THREADS, default: up to 8).
+Values are products over the stored points with r <= |p| <= R_max, with
+normalized arguments u t, u = rho^(-alpha) / sqrt(S2) at the certified
+S2's central value.  The unique radii split at the argument bound
+X0 = 0.25: a site is *far* when u max|t| <= X0 and *near* otherwise.  Far
+sites enter only through the even moments P_2k = sum_far count u^(2k),
+k = 1..K+1 with K = 8, summed once per call; only the near sites call cos,
+at each time:
+
+    log C(t) = sum_near count log|cos(u t)| - F(t) - R_K(t),
+    F(t)     = sum_{k <= K} c_k t^(2k) P_2k,
+
+where c_k = (4^k - 1) zeta(2k) / (k pi^(2k)) = 1/2, 1/12, 1/45, 17/2520, ...
+are the Taylor coefficients of -log cos x = sum_k c_k x^(2k) (DLMF 4.19).
+Far factors are positive, so the sign of C(t) is that of the near factors.
+Evaluation is serial and vectorised: it runs on the unique values of |t|
+and scatters back, so value(-t) equals value(t) bit for bit.
+
+Error chain.  By the triangle inequality over the three steps below,
+|value(t) - C_r(t)| <= err(t) = min(2, W(t) + Rbar(t) + E(t)), two being
+the trivial bound for numbers in [-1, 1]; each term is 0 at t = 0 and
+nondecreasing in |t|.
+
+1. Window truncation, W(t) = expm1(t^2 s).  With s the certified bound on
+   the dropped part of the normalized square sum, every dropped argument is
+   < 1 (enforced) and -log cos x <= x^2 there, so the window product lies
+   within W(t) of C_r(t).
+2. Series remainder, Rbar(t).  Every c_k > 0 and c_{k+1}/c_k < 4/pi^2
+   (with slack, which absorbs the rounding of the test u max|t| <= X0: the
+   ratio is below (4 + 3/(4^k - 1)) k / ((k + 1) pi^2)), so for 0 <= x <= X0 the terms beyond K sum to at most
+   c_{K+1} x^(2K+2) / (1 - 4 X0^2/pi^2).  Summed over the far sites,
+   0 <= R_K(t) <= Rbar(t) = c_{K+1} t^(2K+2) P_{2K+2} / (1 - 4 X0^2/pi^2).
+   As |near product| <= 1 and |e^(-a) - e^(-a-b)| <= b for a, b >= 0,
+   dropping R_K moves the value by at most Rbar(t).
+3. Rounding of the series, E(t) = expm1(2 gamma_n (F^(t) + Rbar(t))).
+   The far part is evaluated in the scaled variables x = u max|t| and
+   (t / max|t|)^2, both in [0, 1], so nothing overflows.  Every operand is
+   nonnegative, so the computed F^ obeys |F^ - F| <= gamma_n F with
+   gamma_n = n eps / (1 - n eps), where n = n_far + 8K + 16 counts every
+   rounding on the path of one term: the n_far-term np.sum, the scaled
+   powers, c_k and Horner's multiply-adds.  Doubling covers F <= F^ / (1 -
+   gamma_n) and the rounding of Rbar and of the bound itself; a shift d in
+   the exponent moves a value of modulus <= 1 by at most expm1(|d|).
+
+Left outside err, as before the split: the rounding of the near arguments
+u t and the libm error of cos, log and the final exp, of order
+(1 + u|t|) eps per near site on the value scale, and underflow in the
+scaled powers, which shifts F by less than 2^-1073 per far site.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import CertifiedValue, delone_tail_sum, integral_tail
+from .bounds import CertifiedValue, _effective_r_pack, delone_tail_sum
 from .pointsets import DeloneRadii, PointSet
 
 __all__ = [
@@ -60,14 +93,18 @@ __all__ = [
     "bloch_evolution",
 ]
 
-_DIRECT_PRODUCT_MAX = 10 ** 4
-
-
-def _workers() -> int:
-    env = os.environ.get("CENTRALSPIN_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+# the near/far split: a site is far when its largest argument is <= _X0
+_X0 = 0.25
+_K = 8
+# c_k = (4^k - 1) zeta(2k) / (k pi^(2k)) for k = 1..K+1, each a correctly
+# rounded quotient of the exact rational
+_LOGCOS = np.array([1 / 2, 1 / 12, 1 / 45, 17 / 2520, 31 / 14175,
+                    691 / 935550, 10922 / 42567525, 929569 / 10216206000,
+                    3202291 / 97692469875])
+_REMAINDER_FACTOR = 1.0 / (1.0 - 4.0 * _X0 * _X0 / math.pi ** 2)
+_EPS = 2.0 ** -53  # unit roundoff
+# elements of one (times x near sites) block of cosines
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -178,46 +215,78 @@ def normalization(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     return delone_tail_sum(ps, radii, power * alpha, r)
 
 
-def _required_r_max(ps: PointSet, alpha: float, target_tail: float) -> float:
-    """Window radius making the S2 tail certificate <= target_tail."""
-    d = ps.dim
-    rp = float(ps.meta.get("r_pack_structural", 0.5))
+def _required_r_max(d: int, rp: float, alpha: float, target_tail: float) -> float:
+    """Window radius making the S2 tail certificate <= target_tail.
+
+    ``rp`` must be the packing radius that ``delone_tail_sum`` bounds the
+    tail with, so the suggested radius meets the bound that refused.
+    """
     # invert tail(R) = 3^d d / rp^d * T(2a, d, R - rp) = target
     t_int = target_tail * rp ** d / ((3.0 ** d) * d)
     return rp + ((2.0 * alpha - d) * t_int) ** (1.0 / (d - 2.0 * alpha))
 
 
-def _profile_value(u_args: np.ndarray, counts: np.ndarray, n_factors: int,
-                   force: str | None = None) -> float:
-    """Product of cos(u_args[i])^counts[i] over unique arguments.
+def _far_series(u: np.ndarray, counts: np.ndarray, at: np.ndarray,
+                t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(t) over the far sites on the grid ``at``, and the bound Rbar + E.
 
-    Direct multiplication up to 10^4 total factors, log-magnitude + sign
-    beyond (underflow-safe); ``force`` pins a path for the crossover test.
+    Rbar and E are items 2 and 3 of the module's error chain; ``at`` holds
+    times in [0, t_max] and every far site has u * t_max <= X0.
     """
-    path = force or ("direct" if n_factors <= _DIRECT_PRODUCT_MAX else "log")
-    c = np.cos(u_args)
-    if path == "direct":
-        return float(np.prod(c ** counts))
-    neg = int((counts[c < 0.0]).sum()) & 1
-    mag = np.abs(c)
-    if np.any(mag == 0.0):
-        return 0.0
-    logmag = float(counts @ np.log(mag))
-    val = math.exp(logmag)
-    return -val if neg else val
+    scale = t_max or 1.0
+    w = (u * scale) ** 2
+    power = counts.astype(np.float64)
+    moments = np.empty(_K + 1)
+    for k in range(_K + 1):
+        power = power * w
+        moments[k] = np.sum(power)
+    s = (at / scale) ** 2
+    f = np.zeros_like(s)
+    for k in range(_K - 1, -1, -1):
+        f = (f + _LOGCOS[k] * moments[k]) * s
+    s_top = s
+    for _ in range(_K):
+        s_top = s_top * s
+    r_bar = _LOGCOS[_K] * moments[_K] * _REMAINDER_FACTOR * s_top
+    n = u.size + 8 * _K + 16
+    gamma = n * _EPS / (1.0 - n * _EPS)
+    return f, r_bar + np.expm1(2.0 * gamma * (f + r_bar))
+
+
+def _near_product(u: np.ndarray, counts: np.ndarray, at: np.ndarray,
+                  log_far: np.ndarray) -> np.ndarray:
+    """sign * exp(sum_near count log|cos(u t)| - log_far) on the grid ``at``.
+
+    Rows go through blocks of at most _BLOCK cosines, so a set with many
+    near sites never holds the whole (times x near) matrix.
+    """
+    out = np.empty(at.size)
+    odd = (counts & 1).astype(bool)
+    weight = counts.astype(np.float64)
+    rows = max(1, _BLOCK // max(1, u.size))
+    for i in range(0, at.size, rows):
+        c = np.cos(np.outer(at[i:i + rows], u))
+        neg = np.count_nonzero((c < 0.0) & odd, axis=1) & 1
+        with np.errstate(divide="ignore"):
+            log_mag = np.sum(np.log(np.abs(c)) * weight, axis=1)
+        mag = np.exp(log_mag - log_far[i:i + rows])
+        out[i:i + rows] = np.where(neg == 1, -mag, mag)
+    return out
 
 
 def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
                      times: np.ndarray, tol: float) -> RamseyProfile:
-    """Evaluate C_r on a time grid with certified truncation error.
+    """Evaluate C_r on a time grid with certified error.
 
-    value(t) is the exact cosine product over the stored points with
+    value(t) is the cosine product over the stored points with
     r <= |p| <= region_radius, with arguments rho^(-alpha) * t / sqrt(S2)
-    using the certified S2's central value.  err(t) = expm1(t^2 * s) with s
-    the certified bound on the dropped part of the normalized square sum,
-    clamped to [0, 2]; the bound is valid because every dropped argument is
-    < 1 at max |t| (enforced).  Raises if the certificate at max |t|
-    exceeds ``tol``, reporting the window radius that would achieve it.
+    at the certified S2's central value; far sites (largest argument
+    <= X0) enter through their even moments.  err(t) bounds the window
+    truncation, the series remainder and the series rounding, clamped to
+    [0, 2]; the module docstring states the chain and what it leaves out.
+    The window term needs every dropped argument < 1 at max |t|
+    (enforced).  Raises if the window certificate at max |t| exceeds
+    ``tol``, reporting the window radius that would achieve it.
     """
     coupling = CouplingPowerLaw(alpha)
     coupling.check_dim(ps.dim)
@@ -243,36 +312,21 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     err_at_max = min(2.0, math.expm1(t_max * t_max * s_tail))
     if err_at_max > tol:
         tail_target = math.log1p(tol) * s2.value / (t_max * t_max)
-        need = _required_r_max(ps, alpha, tail_target)
+        rp = _effective_r_pack(ps, radii, None)
+        need = _required_r_max(ps.dim, rp, alpha, tail_target)
         raise ValueError(
             f"truncation certificate {err_at_max:.3g} exceeds tol={tol:g} "
             f"at t={t_max:g}; need region_radius >= {need:.6g}")
 
     rr = ps.radii
-    sel = rr[rr >= r]
-    u_radii, counts = np.unique(sel, return_counts=True)
-    n_factors = int(sel.size)
-    u_pow = u_radii ** (-alpha) * lam if u_radii.size else u_radii
-
-    def eval_block(block: np.ndarray) -> np.ndarray:
-        out = np.empty(block.size, dtype=np.float64)
-        for i, t in enumerate(block):
-            if n_factors == 0:
-                out[i] = 1.0
-            else:
-                out[i] = _profile_value(u_pow * t, counts, n_factors)
-        return out
-
-    workers = _workers()
-    if workers > 1 and times.size >= 4 * workers:
-        blocks = np.array_split(times, 4 * workers)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = np.concatenate(list(ex.map(eval_block, blocks)))
-    else:
-        values = eval_block(times)
-
-    err = np.minimum(2.0, np.expm1(times ** 2 * s_tail))
-    return RamseyProfile(r=float(r), times=times, values=values, err=err,
+    u_radii, counts = np.unique(rr[rr >= r], return_counts=True)
+    u = u_radii ** (-alpha) * lam
+    far = u * t_max <= _X0
+    at, inv = np.unique(np.abs(times), return_inverse=True)
+    log_far, far_err = _far_series(u[far], counts[far], at, t_max)
+    values = _near_product(u[~far], counts[~far], at, log_far)
+    err = np.minimum(2.0, np.expm1(at ** 2 * s_tail) + far_err)
+    return RamseyProfile(r=float(r), times=times, values=values[inv], err=err[inv],
                          s2=s2, s4=s4, dim=ps.dim, alpha=float(alpha))
 
 

@@ -193,13 +193,6 @@ class TernaryPoint:
             frac -= dig
         return cls(y=yf, digits=tuple(digits), depth=depth)
 
-    def reconstruct(self) -> Fraction:
-        """Partial value of the digit expansion (within 3^-depth of y)."""
-        acc = Fraction(0)
-        for dig in reversed(self.digits):
-            acc = (acc + dig) / 3
-        return acc
-
 
 def cantor_function(y: float | Fraction, depth: int = 60) -> float:
     """Cantor function via ternary digits, exact to 2^-depth.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import centralspin as cs
+from centralspin import pointsets
 from conftest import JITTER_ETA, RADII_MARGIN
 
 # default probe spacing of the Poisson-disk fill sweep (r_min / 10 for
@@ -190,6 +191,26 @@ def test_measured_line_radii_are_exact():
     want_cover = max(np.diff(sites).max() / 2.0,
                      sites[0] - (-50.0), 50.0 - sites[-1])
     assert math.isclose(radii.r_cover, want_cover, rel_tol=0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("value", ["0", "two"])
+def test_thread_knob_refuses_zero_and_non_integers(monkeypatch, value):
+    ps = cs.gen_lattice(2, 10.0)
+    monkeypatch.setenv("CENTRALSPIN_THREADS", value)
+    with pytest.raises(ValueError, match="CENTRALSPIN_THREADS must be -1 .* "
+                                         "positive integer, got '" + value):
+        cs.measure_radii(ps)
+
+
+def test_thread_knob_defaults_to_every_core(monkeypatch):
+    ps = cs.gen_lattice(2, 10.0)
+    monkeypatch.delenv("CENTRALSPIN_THREADS", raising=False)
+    assert pointsets._query_workers() == -1
+    unset = cs.measure_radii(ps)
+    for value in ("-1", "1"):
+        monkeypatch.setenv("CENTRALSPIN_THREADS", value)
+        assert cs.measure_radii(ps) == unset
+    assert pointsets._query_workers() == 1
 
 
 def test_margin_shrinks_the_measured_window(grid_sets):

@@ -1,13 +1,16 @@
 """Dephasing profiles, Gaussian comparison, envelopes, and Bloch output."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import centralspin as cs
+from centralspin import ramsey
 from conftest import mirrored_times
 
 
@@ -61,15 +64,65 @@ def test_profile_is_even_in_time():
 # ------------------------------------------------------------- brute crossover
 
 def test_profile_matches_direct_cosine_product():
-    ps = cs.gen_lattice(1, 50.0)
+    line = (cs.gen_lattice(1, 50.0),)
+    line += (cs.measure_radii(line[0]),)
+    # (split, point set, r, times, tol): near and far sites both present,
+    # every site near (the two-site toy), every site far (a short grid)
+    cases = [("both", *line, 5.0, np.linspace(0.0, 5.0, 101), 1.0),
+             ("near", *toy_pair(), 1.0, np.linspace(0.0, 6.0, 601), 0.1),
+             ("far", *line, 5.0, np.linspace(0.0, 0.5, 51), 1.0)]
+    for split, ps, radii, r, times, tol in cases:
+        prof = cs.evaluate_profile(ps, radii, 2.0, r, times, tol=tol)
+        norms = ps.radii[ps.radii >= r]
+        s2 = prof.s2.value
+        args = np.outer(times, norms ** -2.0 / math.sqrt(s2))
+        far = args[-1] <= ramsey._X0
+        assert {"both": 0 < far.sum() < far.size, "near": not far.any(),
+                "far": far.all()}[split]
+        direct = np.cos(args).prod(axis=1)
+        assert np.abs(prof.values - direct).max() < 1e-12
+
+
+# ---------------------------------------------------------- far-site series
+
+def logcos_coefficient(k):
+    """c_k of -log cos x = sum_k c_k x^(2k), at the current mpmath precision."""
+    return (4 ** k - 1) * mpmath.zeta(2 * k) / (k * mpmath.pi ** (2 * k))
+
+
+def test_logcos_coefficients_are_within_an_ulp():
+    assert len(ramsey._LOGCOS) == ramsey._K + 1
+    with mpmath.workdps(50):
+        for k, c in enumerate(ramsey._LOGCOS, start=1):
+            assert abs(mpmath.mpf(c) - logcos_coefficient(k)) <= math.ulp(c)
+
+
+def test_logcos_coefficient_ratio_stays_below_four_over_pi_squared():
+    with mpmath.workdps(50):
+        c = [logcos_coefficient(k) for k in range(1, 42)]
+        assert all(b / a < 4 / mpmath.pi ** 2 for a, b in zip(c, c[1:]))
+
+
+def test_profile_within_far_bound_of_mpmath_product():
+    ps = cs.gen_lattice(1, 200.0)
     radii = cs.measure_radii(ps)
-    times = np.linspace(0.0, 5.0, 101)
-    prof = cs.evaluate_profile(ps, radii, 2.0, 5.0, times, tol=1.0)
-    norms = ps.radii[ps.radii >= 5.0]
-    s2 = prof.s2.value
-    args = np.outer(times, norms ** -2.0 / math.sqrt(s2))
-    direct = np.cos(args).prod(axis=1)
-    assert np.abs(prof.values - direct).max() < 1e-12
+    alpha, r = 2.0, 5.0
+    times = np.linspace(0.0, 3.0, 31)
+    prof = cs.evaluate_profile(ps, radii, alpha, r, times, tol=1.0)
+    # the arguments exactly as evaluate_profile forms them
+    u_radii, counts = np.unique(ps.radii[ps.radii >= r], return_counts=True)
+    u = u_radii ** (-alpha) * (1.0 / math.sqrt(prof.s2.value))
+    far = u * times[-1] <= ramsey._X0
+    assert far.any() and not far.all()
+    _, bound = ramsey._far_series(u[far], counts[far], times, times[-1])
+    assert bound[0] == 0.0 and bound.max() < 1e-11
+    # err leaves out the near factors' libm error; allow 8 eps per near site
+    allowance = 8 * int(counts[~far].sum()) * np.finfo(float).eps
+    with mpmath.workdps(40):
+        for t, value, b in zip(times, prof.values, bound):
+            exact = mpmath.fprod(mpmath.cos(mpmath.mpf(x) * mpmath.mpf(t)) ** int(c)
+                                 for x, c in zip(u, counts))
+            assert abs(mpmath.mpf(value) - exact) <= b + allowance, t
 
 
 # ------------------------------------------------------------- normalization
@@ -119,6 +172,27 @@ def test_profile_refuses_uncertifiable_tolerance():
     times = np.linspace(0.0, 8.0, 81)
     with pytest.raises(ValueError, match="region_radius >="):
         cs.evaluate_profile(ps, radii, 1.0, 10.0, times, tol=1e-3)
+
+
+def test_refusal_radius_uses_the_certificate_packing_radius():
+    # one extra site 0.3 from its neighbour: the measured r_pack (0.15) is
+    # below the structural 0.5 in the meta, and the tail bound uses it
+    base = cs.gen_lattice(1, 500.0)
+    ps = cs.PointSet(1, np.vstack([base.points, [[100.3]]]), 500.0,
+                     meta={"r_pack_structural": 0.5})
+    radii = cs.measure_radii(ps)
+    assert radii.r_pack == pytest.approx(0.15)
+    times = np.linspace(0.0, 8.0, 81)
+    with pytest.raises(ValueError, match="region_radius >=") as refusal:
+        cs.evaluate_profile(ps, radii, 1.0, 10.0, times, tol=1e-3)
+    need = float(re.search(r"region_radius >= (\S+)", str(refusal.value)).group(1))
+    # delone_tail_sum's bound at the suggested radius meets the target tail
+    s2 = cs.normalization(ps, radii, 1.0, 10.0, 2)
+    target = math.log1p(1e-3) * s2.value / 8.0 ** 2
+    rp = radii.r_pack
+    tail = 3.0 / rp * cs.integral_tail(2.0, 1, need - rp)
+    assert tail == pytest.approx(target, rel=1e-5)
+    assert need == pytest.approx(5.65549e6, rel=1e-5)  # 1.69665e6 with r_pack 0.5
 
 
 # ------------------------------------------------------------- compact bound
