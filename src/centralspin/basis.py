@@ -23,7 +23,7 @@ sign(0) := +1 throughout, which matches taking the terminating binary
 expansion of dyadic rationals (and the all-ones expansion at x = 1).  Cell
 j of level N is [-1 + 2j/2^N, -1 + 2(j+1)/2^N); on it theta_n is the sign
 2*bit - 1 of bit N-n (counting from the least significant bit) of j.  Cell
-arrays materialize only up to level 22; inner products above that level
+arrays materialize only up to level 22; inner products at any level
 iterate cells implicitly through these bit patterns in exact integer
 arithmetic.
 """
@@ -167,28 +167,22 @@ def inner_product(alpha, beta) -> float:
     """<theta_alpha, theta_beta> = (1/2^N) sum over level-N cells, exactly.
 
     theta_alpha * theta_beta = theta_{alpha XOR beta}, whose cell signs
-    depend only on the |gamma| bits picked by the symmetric difference.  Up
-    to level 20 the cells are enumerated outright and summed in integer
-    arithmetic; above that the sum is grouped by those bit patterns: each
-    of the 2^|gamma| patterns occurs in exactly 2^(N-|gamma|) cells, so the
-    total is an exact integer either way.  The result is exactly 1.0 for
-    alpha == beta and exactly 0.0 otherwise.
+    depend only on the |gamma| bits picked by the symmetric difference.  The
+    sum is grouped by those bit patterns: each of the 2^|gamma| patterns
+    occurs in exactly 2^(N-|gamma|) cells, so the total is 2^(N-|gamma|)
+    times the signs of gamma compressed to the indices 1..|gamma|, summed
+    over the 2^|gamma| cells of that level in integer arithmetic (for
+    |gamma| <= 20; above, the pattern sum is 0 by factorization).  The
+    result is exactly 1.0 for alpha == beta and exactly 0.0 otherwise.
     """
     a, b = ThetaIndex.of(alpha), ThetaIndex.of(beta)
     gamma = a.symmetric_difference(b)
     level = max(a.level, b.level, 1)
-    if level <= 20:
-        signs = _cell_signs(gamma.indices, level)
-        total = int(signs.astype(np.int64).sum())
-        return float(Fraction(total, 1 << level))
     g = len(gamma.indices)
     if g <= 20:
-        pattern_sum = 0
-        for pat in range(1 << g):
-            prod = 1
-            for i in range(g):
-                prod *= 2 * ((pat >> i) & 1) - 1
-            pattern_sum += prod
+        # compressed to the indices 1..g, each sign pattern is one cell
+        signs = _cell_signs(tuple(range(1, g + 1)), g)
+        pattern_sum = int(signs.astype(np.int64).sum())
     else:
         # the pattern sum factorizes over bits as prod of ((+1) + (-1)) = 0
         pattern_sum = 0

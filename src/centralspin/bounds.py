@@ -174,10 +174,10 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     if not (0.0 <= r <= ps.region_radius):
         raise ValueError("need 0 <= r <= region_radius")
     rp = _effective_r_pack(ps, radii, r_pack)
-    rr = ps.radii
-    sel = rr[rr >= r]
-    if sel.size:
-        terms = np.sort(sel)[::-1] ** (-alpha)  # ascending magnitudes
+    desc = ps.radii_desc
+    n = desc.size - int(np.searchsorted(desc[::-1], r, side="left"))
+    if n:
+        terms = desc[:n] ** (-alpha)  # every |p| >= r, ascending magnitudes
         finite = _fsum_chunked(terms)
     else:
         finite = 0.0

@@ -143,6 +143,17 @@ class PointSet:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def radii_desc(self) -> np.ndarray:
+        """``radii`` sorted in descending order (read-only, sorted once).
+
+        A reversed view of an ascending sort, so ``radii_desc[::-1]`` is the
+        contiguous ascending array that ``np.searchsorted`` reads in place.
+        """
+        r = np.sort(self.radii)
+        r.setflags(write=False)
+        return r[::-1]
+
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path: str | Path) -> None:
@@ -295,6 +306,28 @@ def _cell_offsets(d: int, nc: int, strides: np.ndarray) -> np.ndarray:
     return offs[gap2 < d] @ strides
 
 
+def _occupied_neighbours(occ: np.ndarray, flat: np.ndarray,
+                         offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (row, point) pair with point = occ[flat[row] + o] >= 0, o in offs.
+
+    One (cells x offsets) gather.  Callers only OR conflicts over the pairs
+    (a flag is cleared or set if *any* neighbour conflicts), so the order in
+    which pairs come out does not affect the result.
+    """
+    nb = occ.take(flat[:, None] + offs[None, :]).ravel()
+    hit = np.flatnonzero(nb >= 0)
+    return hit // offs.size, nb[hit]
+
+
+def _sq_dist(a: np.ndarray, rows: np.ndarray, q: list[np.ndarray]) -> np.ndarray:
+    """Squared distances between a[:, rows] and q, both axis-major.
+
+    Sums the axes in order, as ``((x - y) ** 2).sum(axis=1)`` does for
+    row-major points, so the floats are the same.
+    """
+    return sum((x[rows] - y) ** 2 for x, y in zip(a, q))
+
+
 def _probe_lattice(d: int, R_max: float, r_min: float, spacing: float):
     """Yield the points of {k * spacing}^d inside the annulus, in chunks.
 
@@ -366,9 +399,13 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
     phases: cells within one phase are spaced too far apart to conflict
     with each other, so a whole phase is accepted simultaneously against
     the occupancy grid and the construction is deterministic and
-    chunk-independent.  A cell retires when a single accepted point covers
-    it entirely (its center lies within r_min - half_diagonal of the
-    point), and dies after ``budget`` failed darts otherwise.
+    chunk-independent.  A phase reads its neighbours with one
+    (cells x offsets) gather; a dart is rejected if *any* occupied
+    neighbour lies within r_min, an order-free OR over the offsets, so the
+    outcome does not depend on the order the pairs are tested in.  A cell
+    retires when a single accepted point covers it entirely (its center
+    lies within r_min - half_diagonal of the point), and dies after
+    ``budget`` failed darts otherwise.
 
     A final fill sweep revisits every budget-dead cell and inserts points
     of the absolute probe lattice {k * fill_spacing : k integer}^d
@@ -397,8 +434,10 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
     nc = int(math.ceil(math.sqrt(d)))  # conflict window radius, in cells
     pad = nc
     pside = n_side + 2 * pad
+    if pside ** d >= 2 ** 31:
+        raise ValueError("R_max / r_min too large for the occupancy grid")
     pstrides = np.array([pside ** (d - 1 - k) for k in range(d)], dtype=np.int64)
-    occ = np.full(pside ** d, -1, dtype=np.int64)  # accepted point per cell
+    occ = np.full(pside ** d, -1, dtype=np.int32)  # accepted point per cell
     offs = _cell_offsets(d, nc, pstrides)
     offs = offs[offs != 0]
     r2 = r_min * r_min
@@ -429,15 +468,15 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
     rnd = 0
     while active_idx.shape[0]:
         cells = active_idx
-        darts = np.empty((cells.shape[0], d), dtype=np.float64)
+        darts = np.empty((d, cells.shape[0]), dtype=np.float64)
         for axis in range(d):
             u = counter_uniform(seed, *(cells[:, k] for k in range(d)),
                                 np.int64(rnd), np.int64(axis))
-            darts[:, axis] = lo + (cells[:, axis] + u) * cell
-        dn2 = (darts ** 2).sum(axis=1)
+            darts[axis] = lo + (cells[:, axis] + u) * cell
+        dn2 = sum(x ** 2 for x in darts)
         ok = (dn2 >= r2) & (dn2 <= R_max * R_max)
         flat = (cells + pad) @ pstrides
-        cent = lo + (cells.astype(np.float64) + 0.5) * cell
+        cent = lo + (cells.T.astype(np.float64) + 0.5) * cell
         blocked = np.zeros(cells.shape[0], dtype=bool)
         for p in range(n_phases):
             sel = np.nonzero(phases == p)[0]
@@ -445,25 +484,20 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
                 continue
             if n_pts:
                 # conflicts against everything accepted so far (including
-                # earlier phases of this round), one window offset at a
-                # time; additionally a cell whose center lies within
+                # earlier phases of this round), all window offsets in one
+                # gather; additionally a cell whose center lies within
                 # r_min - half_diag of an accepted point is entirely
                 # covered by that point's exclusion ball and retires (it
                 # can never host anything, and no probe inside it could)
-                sflat = flat[sel]
-                for o in offs:
-                    nb = occ[sflat + o]
-                    has = np.nonzero(nb >= 0)[0]
-                    if not has.size:
-                        continue
-                    i = sel[has]
-                    q = buf[nb[has]]
-                    ok[i[((darts[i] - q) ** 2).sum(axis=1) < r2]] = False
-                    blocked[i[((cent[i] - q) ** 2).sum(axis=1) < blk2]] = True
+                row, nbr = _occupied_neighbours(occ, flat[sel], offs)
+                i = sel[row]
+                q = [x[nbr] for x in buf.T]
+                ok[i[_sq_dist(darts, i, q) < r2]] = False
+                blocked[i[_sq_dist(cent, i, q) < blk2]] = True
             acc = sel[ok[sel]]
             if acc.size:
                 occ[flat[acc]] = n_pts + np.arange(acc.size)
-                buf[n_pts:n_pts + acc.size] = darts[acc]
+                buf[n_pts:n_pts + acc.size] = darts[:, acc].T
                 n_pts += acc.size
         failed = ~ok
         fails[failed] += 1
@@ -521,14 +555,9 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
                     cidx = sel[ridx]  # one probe per cell, in survivor order
                     good = np.ones(cidx.size, dtype=bool)
                     if n_pts:
-                        cf = sflat[cidx]
-                        for o in offs:
-                            nb = occ[cf + o]
-                            has = np.nonzero(nb >= 0)[0]
-                            if not has.size:
-                                continue
-                            dd = ((surv[cidx[has]] - buf[nb[has]]) ** 2).sum(axis=1)
-                            good[has[dd < r2]] = False
+                        row, nbr = _occupied_neighbours(occ, sflat[cidx], offs)
+                        dd = _sq_dist(surv.T, cidx[row], [x[nbr] for x in buf.T])
+                        good[row[dd < r2]] = False
                     acc = cidx[good]
                     if acc.size:
                         occ[sflat[acc]] = n_pts + np.arange(acc.size)
@@ -568,6 +597,10 @@ def _covering_exact_1d(sites: np.ndarray, R_dom: float) -> float:
     return float(np.minimum(left, right).max())
 
 
+_BNB_BLOCK = 1 << 12  # parents expanded at once (bounds transient memory)
+_KD_PAD = 1e-12  # relative gap allowed between numpy and cKDTree distances
+
+
 def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
                   resolution: float) -> tuple[float, float]:
     """Branch-and-bound estimate of sup_{|q| <= R_dom} dist(q, sites).
@@ -577,6 +610,19 @@ def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
     no better probe and is pruned; survivors are subdivided until the
     half-diagonal falls below ``resolution``.  Returns (best, gap): the true
     supremum lies in [best, best + gap].
+
+    Children are also skipped *before* their KD query.  The query of a kept
+    parent returns its nearest site p, and every child c satisfies
+
+        dist(c, sites) <= |c - p| <= |c - p| * (1 + 1e-12),
+
+    the pad absorbing the few-ulp difference between the numpy norm and the
+    KD tree's own distance.  A child with |c - p| * (1 + 1e-12) + hd <= best
+    therefore has dist(c) + hd <= best: it cannot raise ``best``, the
+    unconditional rule (query it, keep it iff dist + hd > best, with a best
+    at least as large) would prune it at the next level, and at the final
+    level its upper bound dist + hd adds nothing to ``gap``.  By induction
+    over levels, (best, gap) is exactly what querying every child gives.
     """
     h = 1.0
     hd = h * math.sqrt(d) / 2.0
@@ -587,10 +633,11 @@ def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
     centers = centers[(centers ** 2).sum(axis=1) <= (R_dom + hd) ** 2]
     best = 0.0
     workers = _query_workers()
+    sites = tree.data
     child = (np.stack(np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij"),
                       axis=-1).reshape(-1, d))
     while True:
-        dist, _ = tree.query(centers, workers=workers)
+        dist, nearest = tree.query(centers, workers=workers)
         inside = (centers ** 2).sum(axis=1) <= R_dom * R_dom
         if inside.any():
             best = max(best, float(dist[inside].max()))
@@ -601,11 +648,37 @@ def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
         keep = dist + hd > best
         if not keep.any():
             return best, 0.0
-        parents = centers[keep]
         h /= 2.0
         hd /= 2.0
-        centers = (parents[:, None, :] + child[None, :, :] * (h / 2.0)).reshape(-1, d)
-        centers = centers[(centers ** 2).sum(axis=1) <= (R_dom + hd) ** 2]
+        # count, then fill an exact-size array: a search that can skip
+        # nothing (a lattice) then holds one copy of the children, no more
+        args = (centers[keep], sites[nearest[keep]], child, h, hd, R_dom, best)
+        centers = np.empty((sum(int(np.count_nonzero(sel))
+                                for _, sel in _bnb_children(*args)), d))
+        n = 0
+        for c, sel in _bnb_children(*args):
+            k = int(np.count_nonzero(sel))
+            for j, x in enumerate(c):
+                centers[n:n + k, j] = x[sel]
+            n += k
+
+
+def _bnb_children(parents, near, child, h, hd, R_dom, best):
+    """Children of each block of parents, and which of them to query.
+
+    Yields (c, sel): the children's coordinates axis by axis, in (parent,
+    child) order, and the mask of those inside the padded ball that the
+    parent's nearest site does not already bound (see _covering_bnb).  The
+    squared norm adds the axes in order, as ``.sum(axis=1)`` does.
+    """
+    for lo in range(0, parents.shape[0], _BNB_BLOCK):
+        c = [(x[:, None] + y * (h / 2.0)).ravel()
+             for x, y in zip(parents[lo:lo + _BNB_BLOCK].T, child.T)]
+        n2 = sum(x ** 2 for x in c)
+        to_site2 = sum((x - np.repeat(y, child.shape[0])) ** 2
+                       for x, y in zip(c, near[lo:lo + _BNB_BLOCK].T))
+        yield c, ((n2 <= (R_dom + hd) ** 2)
+                  & (np.sqrt(to_site2) * (1.0 + _KD_PAD) + hd > best))
 
 
 def measure_radii(ps: PointSet, margin: float = 0.0, *,

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import centralspin as cs
+from centralspin import bounds
 
 
 # ------------------------------------------------------------ CertifiedValue
@@ -76,6 +77,25 @@ def test_tail_sum_interval_sits_on_the_window_sum(grid_sets):
     finite = float(np.sum(np.sort(norms[norms >= r])[::-1] ** (-alpha)))
     assert math.isclose(got.lo, finite, rel_tol=1e-10)
     assert got.hi > finite
+
+
+def test_tail_sum_matches_a_fresh_sort_at_every_cut():
+    # the finite sum reads a prefix of the once-sorted radii; it must add
+    # the same terms in the same order as sorting the selection afresh,
+    # also when r equals a radius (|p| >= r is closed) or cuts nothing
+    ps = cs.gen_jittered(2, 12.0, 0.2, seed=5)
+    lat = cs.gen_lattice(2, 12.0)
+    for pset in (ps, lat):
+        radii = cs.measure_radii(pset)
+        rr = pset.radii
+        for alpha in (2.5, 4.0):
+            for r in (0.0, 1.0, 2.0, float(rr[17]), 7.3, float(rr.max()), 12.0):
+                got = cs.delone_tail_sum(pset, radii, alpha, r)
+                sel = rr[rr >= r]
+                finite = (bounds._fsum_chunked(np.sort(sel)[::-1] ** (-alpha))
+                          if sel.size else 0.0)
+                assert got.value == finite + got.err
+    assert ps.radii_desc is ps.radii_desc  # sorted once, then cached
 
 
 def test_tail_sum_refuses_divergent_or_oversized_requests(grid_sets):

@@ -1,5 +1,6 @@
 """Point-set generators, Delone radii, and annulus counting."""
 
+import hashlib
 import json
 import math
 
@@ -115,6 +116,23 @@ def test_poisson_covering_certificate(grid_sets):
         assert cs.insertable_probes(ps).shape[0] == 0
 
 
+# sha256 of points.tobytes(), recorded at the commit before the
+# (cells x offsets) gather replaced the per-offset conflict loops
+POISSON_DIGESTS = {
+    (2, 20.0, 1.0, 7):
+        "046f3d872a9e072556ce30379353caf741989da67579a6931f57bbffe9cc5a30",
+    (3, 15.0, 1.5, 3):
+        "c14c488adb30e6dad251b927ba9abdc18cad6f6284918510c962a3575dff304b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(POISSON_DIGESTS))
+def test_poisson_samples_are_bit_identical_to_recorded_digests(case):
+    d, R, r_min, seed = case
+    ps = cs.gen_poisson_disk(d, R, r_min, seed=seed)
+    assert hashlib.sha256(ps.points.tobytes()).hexdigest() == POISSON_DIGESTS[case]
+
+
 def test_insertable_probes_flags_a_real_hole():
     ps = cs.gen_poisson_disk(2, 20.0, 1.0, seed=7)
     # delete an interior point: probes near it become legal again
@@ -176,6 +194,14 @@ def test_radii_property_is_cached_norms():
     assert ps.radii is ps.radii  # cached
 
 
+def test_descending_radii_are_a_cached_read_only_sort():
+    ps = cs.gen_jittered(2, 10.0, 0.2, seed=1)
+    assert np.array_equal(ps.radii_desc, np.sort(ps.radii)[::-1])
+    assert ps.radii_desc is ps.radii_desc
+    assert not ps.radii_desc.flags.writeable
+    assert ps.radii_desc[::-1].flags.c_contiguous  # searchsorted reads it in place
+
+
 # ------------------------------------------------------------ measure_radii
 
 def test_measured_line_radii_are_exact():
@@ -191,6 +217,104 @@ def test_measured_line_radii_are_exact():
     want_cover = max(np.diff(sites).max() / 2.0,
                      sites[0] - (-50.0), 50.0 - sites[-1])
     assert math.isclose(radii.r_cover, want_cover, rel_tol=0, abs_tol=1e-12)
+
+
+# (r_pack, r_cover, probe_resolution) recorded at the commit before the
+# covering search skipped children bounded through their parent's site
+PINNED_RADII = [
+    (lambda: cs.gen_jittered(3, 20.0, 0.25, 3),
+     (0.2562676176945162, 0.9940537658155995, 0.10825317547305491)),
+    (lambda: cs.gen_poisson_disk(3, 15.0, 1.5, seed=3),
+     (0.7500712356332758, 1.645749516511485, 0.10825317547305491)),
+]
+
+
+@pytest.mark.parametrize("make, want", PINNED_RADII, ids=["jitter", "poisson"])
+def test_covering_search_is_bit_identical_to_recorded_radii(make, want):
+    got = cs.measure_radii(make(), 2.0)
+    assert (got.r_pack, got.r_cover, got.probe_resolution) == want
+
+
+def _covering_bnb_unpruned(sites, d, R_dom, resolution):
+    """The covering search as it was before children were skipped."""
+    tree = cKDTree(sites)
+    h = 1.0
+    hd = h * math.sqrt(d) / 2.0
+    m = int(math.ceil(R_dom / h)) + 1
+    axis = (np.arange(-m, m, dtype=np.float64) + 0.5) * h
+    centers = np.stack(np.meshgrid(*([axis] * d), indexing="ij"),
+                       axis=-1).reshape(-1, d)
+    centers = centers[(centers ** 2).sum(axis=1) <= (R_dom + hd) ** 2]
+    child = np.stack(np.meshgrid(*([np.array([-1.0, 1.0])] * d),
+                                 indexing="ij"), axis=-1).reshape(-1, d)
+    best = 0.0
+    while True:
+        dist, _ = tree.query(centers)
+        inside = (centers ** 2).sum(axis=1) <= R_dom * R_dom
+        if inside.any():
+            best = max(best, float(dist[inside].max()))
+        if hd <= resolution:
+            ub = dist + hd
+            return best, (max(0.0, float(ub.max()) - best) if ub.size else 0.0)
+        keep = dist + hd > best
+        if not keep.any():
+            return best, 0.0
+        h /= 2.0
+        hd /= 2.0
+        centers = (centers[keep][:, None, :]
+                   + child[None, :, :] * (h / 2.0)).reshape(-1, d)
+        centers = centers[(centers ** 2).sum(axis=1) <= (R_dom + hd) ** 2]
+
+
+@pytest.mark.parametrize("d, make", [
+    (2, lambda: cs.gen_jittered(2, 15.0, 0.3, 2)),
+    (2, lambda: cs.gen_poisson_disk(2, 12.0, 1.0, seed=4)),
+    (3, lambda: cs.gen_jittered(3, 8.0, 0.2, 6)),
+    (3, lambda: cs.gen_lattice(3, 8.0)),
+])
+def test_covering_search_equals_the_unpruned_search(d, make):
+    ps = make()
+    sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
+    for R_dom, res in ((ps.region_radius - 1.0, 0.05), (ps.region_radius, 0.2)):
+        want = _covering_bnb_unpruned(sites, d, R_dom, res)
+        assert pointsets._covering_bnb(cKDTree(sites), d, R_dom, res) == want
+
+
+def _brute_distance_max(ps, R_dom, s):
+    """max over probes q (|q| <= R_dom) of min over sites |q - p|, no KD tree.
+
+    The probes are the spacing-s grid inside the ball plus the radial
+    projections onto the sphere of grid points up to s*sqrt(d)/2 outside
+    it, so every point of the ball lies within s*sqrt(d)/2 of a probe
+    (projection onto the ball is non-expansive).  The origin is a site.
+    """
+    d = ps.dim
+    sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
+    k = np.arange(-math.ceil(R_dom / s) - 1, math.ceil(R_dom / s) + 2) * s
+    grid = np.stack(np.meshgrid(*([k] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    norm = np.linalg.norm(grid, axis=1)
+    shell = (norm > R_dom) & (norm <= R_dom + s * math.sqrt(d) / 2.0)
+    probes = np.concatenate([grid[norm <= R_dom],
+                             grid[shell] * (R_dom / norm[shell])[:, None]])
+    best = 0.0
+    for lo in range(0, probes.shape[0], 4096):
+        q = probes[lo:lo + 4096]
+        d2 = sum((q[:, i, None] - sites[None, :, i]) ** 2 for i in range(d))
+        best = max(best, float(np.sqrt(d2.min(axis=1)).max()))
+    return best
+
+
+@pytest.mark.parametrize("make, margin, s", [
+    (lambda: cs.gen_jittered(2, 8.0, 0.25, 4), 1.0, 0.025),
+    (lambda: cs.gen_poisson_disk(3, 6.0, 1.5, seed=2), 1.0, 0.1),
+])
+def test_covering_certificate_brackets_a_brute_force_oracle(make, margin, s):
+    ps = make()
+    radii = cs.measure_radii(ps, margin)
+    R_dom = ps.region_radius - margin
+    brute = _brute_distance_max(ps, R_dom, s)
+    assert brute <= radii.r_cover_upper + 1e-12
+    assert radii.r_cover <= brute + s * math.sqrt(ps.dim) / 2.0 + 1e-12
 
 
 @pytest.mark.parametrize("value", ["0", "two"])
