@@ -53,7 +53,6 @@ from .pointsets import (
     measure_radii,
 )
 from .ramsey import (
-    CouplingPowerLaw,
     GaussianDiag,
     RamseyProfile,
     UniformScanReport,
@@ -93,7 +92,7 @@ __all__ = [
     "integral_tail", "delone_tail_sum", "sandwich_check",
     "seq_sum_integral_check", "asymptotic_ratio",
     # ramsey
-    "CouplingPowerLaw", "RamseyProfile", "GaussianDiag", "UniformScanReport",
+    "RamseyProfile", "GaussianDiag", "UniformScanReport",
     "normalization", "evaluate_profile", "gaussian_sup_distance",
     "compact_bound_check", "decay_envelope_check", "calibrate_envelope",
     "uniform_convergence_scan", "fit_gaussian", "bloch_evolution",

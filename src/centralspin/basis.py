@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _MATERIALIZE_MAX_LEVEL = 22
+# agreement required of the two sides of each identity check
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -216,25 +218,22 @@ def fourier_coeff(k: int, m: int) -> complex:
     return total * sign_m * (-1j) / (2.0 * math.pi * m)
 
 
-def t_fourier_action_check(k: int, n_range: int, coeffs=None,
-                           tol: float = 1e-12) -> bool:
+def t_fourier_action_check(k: int, n_range: int) -> bool:
     """Check the doubling action on Fourier data: theta_k maps to theta_{k+1}.
 
     The action sends f_n to (Tf)_{2n} = (-1)^n f_n and (Tf)_{2n+1} = 0;
     both target families are compared against fourier_coeff(k+1, .) for
-    |n| <= n_range.  ``coeffs`` may supply precomputed source coefficients
-    as a dict {n: (theta_k)_n}; they are computed when omitted.
+    |n| <= n_range, within 1e-12.
     """
     if not (isinstance(k, int) and 1 <= k <= 19):
         raise ValueError("need integer 1 <= k <= 19")
     for n in range(-n_range, n_range + 1):
-        src = coeffs[n] if coeffs is not None else fourier_coeff(k, n)
         even = fourier_coeff(k + 1, 2 * n)
-        expected = (-1.0 if n % 2 else 1.0) * src
-        if abs(even - expected) > tol:
+        expected = (-1.0 if n % 2 else 1.0) * fourier_coeff(k, n)
+        if abs(even - expected) > _TOL:
             return False
         odd = fourier_coeff(k + 1, 2 * n + 1)
-        if abs(odd) > tol:
+        if abs(odd) > _TOL:
             return False
     return True
 
@@ -265,13 +264,13 @@ def l2_distance_to_x(pw: PiecewiseDyadic) -> float:
     return math.sqrt(_fsum_chunked(sq) / 2.0)
 
 
-def l2_cauchy_check(A, N: int, M: int, tol: float = 1e-12) -> float:
+def l2_cauchy_check(A, N: int, M: int) -> float:
     """||phi_M - phi_N||_2 for phi_K = sum_{k<=K} A_k theta_k, two ways.
 
     Orthonormality gives the closed form sqrt(sum_{N<k<=M} A_k^2); the same
     number is recomputed as an honest piecewise integral (dense cells up to
     level 20, exact implicit cross terms above) and the two must agree
-    within ``tol``.  A is the coupling prefix A_1..A_M (index k at A[k-1]);
+    within 1e-12.  A is the coupling prefix A_1..A_M (index k at A[k-1]);
     N == M returns 0.  Raises AssertionError on disagreement.
     """
     if not (0 <= N <= M <= 30):
@@ -296,8 +295,8 @@ def l2_cauchy_check(A, N: int, M: int, tol: float = 1e-12) -> float:
             2.0 * a[i] * a[jx] * inner_product({N + 1 + i}, {N + 1 + jx})
             for i in range(len(a)) for jx in range(i + 1, len(a)))
         integral = math.sqrt(acc + cross)
-    if abs(closed - integral) > tol:
+    if abs(closed - integral) > _TOL:
         raise AssertionError(
             f"closed form {closed!r} and piecewise integral {integral!r} "
-            f"disagree beyond {tol:g}")
+            f"disagree beyond {_TOL:g}")
     return closed

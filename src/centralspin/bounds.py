@@ -189,6 +189,17 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     return CertifiedValue(value=finite + 0.5 * tail, err=0.5 * tail)
 
 
+def _required_r_max(d: int, rp: float, alpha: float, target_tail: float) -> float:
+    """Window radius making the S2 tail certificate <= target_tail.
+
+    ``rp`` must be the packing radius that ``delone_tail_sum`` bounds the
+    tail with, so the suggested radius meets the bound that refused.
+    """
+    # invert tail(R) = 3^d d / rp^d * T(2a, d, R - rp) = target
+    t_int = target_tail * rp ** d / ((3.0 ** d) * d)
+    return rp + ((2.0 * alpha - d) * t_int) ** (1.0 / (d - 2.0 * alpha))
+
+
 def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
                    *, r_pack: float | None = None) -> SandwichResult:
     """Check the two-sided tail sandwich at radius r (requires r >= 3 r_cover).

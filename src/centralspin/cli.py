@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Callable
 
 import numpy as np
@@ -32,23 +32,7 @@ from . import bounds as bounds_mod
 from . import pointsets, ramsey, spectra
 from ._rng import counter_uniform, counter_uniform_open
 
-__all__ = ["RunConfig", "main", "run"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parameter record of one CLI invocation; round-trips through JSON."""
-
-    subcommand: str
-    params: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        return cls(subcommand=data["subcommand"], params=data["params"])
+__all__ = ["main", "run"]
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -57,12 +41,17 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
                header=",".join(header), comments="")
 
 
-def _write_sidecar(path: str, config: RunConfig, extra: dict | None = None) -> None:
-    payload = {"config": json.loads(config.to_json()),
-               "version": __version__}
-    if extra:
-        payload.update(extra)
-    with open(path + ".json", "w") as fh:
+def _write_json(path: str, args, params: dict | None = None, **fields) -> None:
+    """Write a sidecar or report: the run's config, the version and ``fields``.
+
+    ``config.params`` defaults to every parsed flag of the subcommand.
+    """
+    if params is None:
+        params = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "subcommand")}
+    payload = {"config": {"subcommand": args.subcommand, "params": params},
+               "version": __version__, **fields}
+    with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
         fh.write("\n")
 
@@ -72,19 +61,16 @@ def _write_sidecar(path: str, config: RunConfig, extra: dict | None = None) -> N
 _RAMSEY_RMAX = {1: 1.0e6, 2: 200.0, 3: 60.0}
 
 
-def _build_set(args) -> pointsets.PointSet:
+def _build_set(args) -> tuple[pointsets.PointSet, pointsets.DeloneRadii]:
     if args.rmax is None:
         args.rmax = _RAMSEY_RMAX[args.dim]
     if args.set == "lattice":
-        return pointsets.gen_lattice(args.dim, args.rmax)
-    if args.set == "jitter":
-        return pointsets.gen_jittered(args.dim, args.rmax, args.jitter, args.seed)
-    return pointsets.gen_poisson_disk(args.dim, args.rmax, args.rmin, args.seed)
-
-
-def _set_params(args) -> dict:
-    return {"dim": args.dim, "set": args.set, "rmax": args.rmax,
-            "seed": args.seed, "jitter": args.jitter, "rmin": args.rmin}
+        ps = pointsets.gen_lattice(args.dim, args.rmax)
+    elif args.set == "jitter":
+        ps = pointsets.gen_jittered(args.dim, args.rmax, args.jitter, args.seed)
+    else:
+        ps = pointsets.gen_poisson_disk(args.dim, args.rmax, args.rmin, args.seed)
+    return ps, pointsets.measure_radii(ps, margin=args.margin)
 
 
 def _add_set_flags(p: argparse.ArgumentParser,
@@ -99,25 +85,19 @@ def _add_set_flags(p: argparse.ArgumentParser,
                    help="jitter amplitude eta for --set jitter")
     p.add_argument("--rmin", type=float, default=1.0,
                    help="hard-core distance for --set poisson")
+    p.add_argument("--margin", type=float, default=0.0)
 
 
 def _cmd_points(args) -> int:
-    ps = _build_set(args)
-    radii = pointsets.measure_radii(ps, margin=args.margin)
+    ps, radii = _build_set(args)
     ps.to_csv(args.out)
-    cfg = RunConfig("points", {**_set_params(args), "margin": args.margin,
-                               "out": args.out})
-    _write_sidecar(args.out, cfg, {
-        "n_points": ps.n_points,
-        "meta": ps.meta,
-        "radii": {"r_pack": radii.r_pack, "r_cover": radii.r_cover,
-                  "probe_resolution": radii.probe_resolution}})
+    _write_json(args.out + ".json", args, n_points=ps.n_points, meta=ps.meta,
+                radii=asdict(radii))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    ps = _build_set(args)
-    radii = pointsets.measure_radii(ps, margin=args.margin)
+    ps, radii = _build_set(args)
     rows = []
     ok_all = True
     for r in args.r:
@@ -126,22 +106,13 @@ def _cmd_bounds(args) -> int:
         rows.append({"r": res.r, "lower": res.lower, "sum": res.finite_sum,
                      "err": res.tail_err, "upper": res.upper,
                      "holds": res.holds})
-    cfg = RunConfig("bounds", {**_set_params(args), "alpha": args.alpha,
-                               "r": list(args.r), "margin": args.margin,
-                               "out": args.out})
-    report = {"config": json.loads(cfg.to_json()), "version": __version__,
-              "radii": {"r_pack": radii.r_pack, "r_cover": radii.r_cover,
-                        "probe_resolution": radii.probe_resolution},
-              "rows": rows, "all_hold": bool(ok_all)}
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2))
-        fh.write("\n")
+    _write_json(args.out, args, radii=asdict(radii), rows=rows,
+                all_hold=bool(ok_all))
     return 0
 
 
 def _cmd_ramsey(args) -> int:
-    ps = _build_set(args)
-    radii = pointsets.measure_radii(ps, margin=args.margin)
+    ps, radii = _build_set(args)
     times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
     prof = ramsey.evaluate_profile(ps, radii, args.alpha, args.r, times,
                                    args.tol)
@@ -149,14 +120,9 @@ def _cmd_ramsey(args) -> int:
     _write_csv(args.out, ["t", "C", "err", "gauss", "bound_rhs"],
                [prof.times, prof.values, prof.err, prof.gaussian,
                 diag.bound_rhs])
-    cfg = RunConfig("ramsey", {**_set_params(args), "alpha": args.alpha,
-                               "r": args.r, "tmax": args.tmax, "dt": args.dt,
-                               "tol": args.tol, "margin": args.margin,
-                               "out": args.out})
-    _write_sidecar(args.out, cfg, {
-        "s2": {"value": prof.s2.value, "err": prof.s2.err},
-        "s4": {"value": prof.s4.value, "err": prof.s4.err},
-        "sup_dist": diag.sup_dist, "compact_bound_ok": diag.envelope_ok})
+    _write_json(args.out + ".json", args, s2=asdict(prof.s2),
+                s4=asdict(prof.s4), sup_dist=diag.sup_dist,
+                compact_bound_ok=diag.envelope_ok)
     return 0
 
 
@@ -174,27 +140,24 @@ def _cmd_spectra(args) -> int:
             rows_c.append(spectra.cantor_function(d_val, args.depth))
         _write_csv(args.out, ["x", "D", "C_of_D"],
                    [np.array(rows_x), np.array(rows_d), np.array(rows_c)])
-        cfg = RunConfig("spectra", {"mode": "cantor", "n": args.n,
-                                    "seed": args.seed, "depth": args.depth,
-                                    "out": args.out})
-        _write_sidecar(args.out, cfg)
-        return 0
-    times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
-    if args.tmax >= math.pi:
-        # pi never lands on a rational grid, yet it is the natural probe
-        # point for self-similar products; include it explicitly
-        times = np.sort(np.append(times, math.pi))
-    vals = np.empty(times.size)
-    errs = np.empty(times.size)
-    prod = spectra.CosProduct(args.base, depth=args.depth)
-    for i, t in enumerate(times):
-        cv = prod.evaluate(float(t))
-        vals[i], errs[i] = cv.value, cv.err
-    _write_csv(args.out, ["t", "C", "err"], [times, vals, errs])
-    cfg = RunConfig("spectra", {"mode": "product", "base": args.base,
-                                "tmax": args.tmax, "dt": args.dt,
-                                "depth": args.depth, "out": args.out})
-    _write_sidecar(args.out, cfg)
+        keys = ("n", "seed")
+    else:
+        times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
+        if args.tmax >= math.pi:
+            # pi never lands on a rational grid, yet it is the natural probe
+            # point for self-similar products; include it explicitly
+            times = np.sort(np.append(times, math.pi))
+        vals = np.empty(times.size)
+        errs = np.empty(times.size)
+        prod = spectra.CosProduct(args.base, depth=args.depth)
+        for i, t in enumerate(times):
+            cv = prod.evaluate(float(t))
+            vals[i], errs[i] = cv.value, cv.err
+        _write_csv(args.out, ["t", "C", "err"], [times, vals, errs])
+        keys = ("base", "tmax", "dt")
+    # the sidecar records only the flags this mode reads
+    _write_json(args.out + ".json", args,
+                {k: getattr(args, k) for k in ("mode", *keys, "depth", "out")})
     return 0
 
 
@@ -216,14 +179,7 @@ def _cmd_basis(args) -> int:
             fourier.append({"k": k, "n": n, "m": m,
                             "re": c.real, "im": c.imag,
                             "predicted_mag": (1.0 / math.pi) / abs(n + 0.5)})
-    cfg = RunConfig("basis", {"pairs": args.pairs, "seed": args.seed,
-                              "kmax": args.kmax, "nrange": args.nrange,
-                              "out": args.out})
-    report = {"config": json.loads(cfg.to_json()), "version": __version__,
-              "orthonormality": pairs, "fourier_support": fourier}
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2))
-        fh.write("\n")
+    _write_json(args.out, args, orthonormality=pairs, fourier_support=fourier)
     return 0
 
 
@@ -414,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("points", help="generate a point set")
     _add_set_flags(p, default_rmax=20.0)
-    p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_points)
 
@@ -422,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_set_flags(p, default_rmax=60.0)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--r", type=float, nargs="+", default=[5.0, 10.0])
-    p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
 
@@ -433,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=8.0)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=0.1)
-    p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ramsey)
 

@@ -387,9 +387,13 @@ def insertable_probes(ps: PointSet, spacing: float | None = None,
     return np.concatenate(holes, axis=0) if holes else np.empty((0, ps.dim))
 
 
-def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
-                     fill_spacing: float | None = None,
-                     budget: int = 8) -> PointSet:
+# failed darts after which a cell is left to the fill sweep
+_BUDGET = 8
+# fill-sweep probe spacing is r_min / _FILL_DIVISOR[d]
+_FILL_DIVISOR = {1: 10.0, 2: 10.0, 3: 4.0}
+
+
+def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     """Maximal hard-core sample of the annulus r_min <= |p| <= R_max.
 
     Dart throwing on a background grid of cells of side r_min/sqrt(d): at
@@ -405,16 +409,18 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
     outcome does not depend on the order the pairs are tested in.  A cell
     retires when a single accepted point covers it entirely (its center
     lies within r_min - half_diagonal of the point), and dies after
-    ``budget`` failed darts otherwise.
+    _BUDGET = 8 failed darts otherwise.
 
     A final fill sweep revisits every budget-dead cell and inserts points
     of the absolute probe lattice {k * fill_spacing : k integer}^d
-    (default spacing r_min/10 for d <= 2 and r_min/4 for d = 3) wherever a
-    point still legally fits, again phase by phase.  Cells that retire any
-    other way are already covered within < r_min, so after the sweep *every*
+    (spacing r_min/10 for d <= 2 and r_min/4 for d = 3) wherever a point
+    still legally fits, again phase by phase.  Cells that retire any other
+    way are already covered within < r_min, so after the sweep *every*
     probe-lattice point of the legal region either conflicts with a sample
     point or is one: that is the grid-probe maximality certificate, and
-    ``insertable_probes`` re-derives it from the output alone.  Between
+    ``insertable_probes`` re-derives it from the output alone.  Every
+    acceptance test rejects at sqrt(dd) < r_min, the distance the KD filters
+    compare, so the grid never rejects a probe that the filters keep.  Between
     probes the guarantee degrades smoothly: any remaining hole is shallower
     than r_min + fill_spacing * sqrt(d)/2.
 
@@ -425,8 +431,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
     _check_dim(d)
     if not (0 < r_min <= R_max):
         raise ValueError("need 0 < r_min <= R_max")
-    if fill_spacing is None:
-        fill_spacing = r_min / 10.0 if d <= 2 else r_min / 4.0
+    fill_spacing = r_min / _FILL_DIVISOR[d]
 
     cell = r_min / math.sqrt(d)
     n_side = int(math.ceil(2.0 * R_max / cell))
@@ -492,7 +497,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
                 row, nbr = _occupied_neighbours(occ, flat[sel], offs)
                 i = sel[row]
                 q = [x[nbr] for x in buf.T]
-                ok[i[_sq_dist(darts, i, q) < r2]] = False
+                ok[i[np.sqrt(_sq_dist(darts, i, q)) < r_min]] = False
                 blocked[i[_sq_dist(cent, i, q) < blk2]] = True
             acc = sel[ok[sel]]
             if acc.size:
@@ -501,7 +506,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
                 n_pts += acc.size
         failed = ~ok
         fails[failed] += 1
-        dead = failed & ~blocked & (fails > budget)
+        dead = failed & ~blocked & (fails > _BUDGET)
         if dead.any():
             dead_cells.append(cells[dead])
         keep = ~(ok | dead | blocked)
@@ -557,7 +562,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
                     if n_pts:
                         row, nbr = _occupied_neighbours(occ, sflat[cidx], offs)
                         dd = _sq_dist(surv.T, cidx[row], [x[nbr] for x in buf.T])
-                        good[row[dd < r2]] = False
+                        good[row[np.sqrt(dd) < r_min]] = False
                     acc = cidx[good]
                     if acc.size:
                         occ[sflat[acc]] = n_pts + np.arange(acc.size)
@@ -570,7 +575,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
                 surv = surv[nd >= r_min]
 
     meta = {"kind": "poisson", "dim": d, "R_max": float(R_max),
-            "r_min": float(r_min), "seed": int(seed), "budget": int(budget),
+            "r_min": float(r_min), "seed": int(seed), "budget": _BUDGET,
             "fill_spacing": float(fill_spacing),
             "r_pack_structural": r_min / 2.0}
     return PointSet(dim=d, points=buf[:n_pts].copy(), region_radius=float(R_max),
@@ -581,7 +586,8 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int, *,
 # Delone radii
 # ---------------------------------------------------------------------------
 
-_DEFAULT_RESOLUTION = {1: 0.0, 2: 0.05, 3: 0.12}
+# branch-and-bound stops below this half-diagonal (d = 1 is exact)
+_RESOLUTION = {2: 0.05, 3: 0.12}
 
 
 def _covering_exact_1d(sites: np.ndarray, R_dom: float) -> float:
@@ -681,8 +687,7 @@ def _bnb_children(parents, near, child, h, hd, R_dom, best):
                   & (np.sqrt(to_site2) * (1.0 + _KD_PAD) + hd > best))
 
 
-def measure_radii(ps: PointSet, margin: float = 0.0, *,
-                  resolution: float | None = None) -> DeloneRadii:
+def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     """Measure the empirical packing and covering radii of a point set.
 
     r_pack is half the minimum pairwise distance among points with
@@ -712,8 +717,8 @@ def measure_radii(ps: PointSet, margin: float = 0.0, *,
         r_cover = _covering_exact_1d(sites, R_dom)
         gap = 0.0
     else:
-        res = _DEFAULT_RESOLUTION[ps.dim] if resolution is None else resolution
-        r_cover, gap = _covering_bnb(cKDTree(sites), ps.dim, R_dom, res)
+        r_cover, gap = _covering_bnb(cKDTree(sites), ps.dim, R_dom,
+                                     _RESOLUTION[ps.dim])
     return DeloneRadii(r_pack=r_pack, r_cover=r_cover, probe_resolution=gap)
 
 

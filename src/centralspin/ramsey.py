@@ -74,11 +74,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import CertifiedValue, _effective_r_pack, delone_tail_sum
+from .bounds import (CertifiedValue, _effective_r_pack, _required_r_max,
+                     delone_tail_sum)
 from .pointsets import DeloneRadii, PointSet
 
 __all__ = [
-    "CouplingPowerLaw",
     "RamseyProfile",
     "GaussianDiag",
     "UniformScanReport",
@@ -105,36 +105,6 @@ _REMAINDER_FACTOR = 1.0 / (1.0 - 4.0 * _X0 * _X0 / math.pi ** 2)
 _EPS = 2.0 ** -53  # unit roundoff
 # elements of one (times x near sites) block of cosines
 _BLOCK = 1 << 18
-
-
-@dataclass(frozen=True)
-class CouplingPowerLaw:
-    """Coupling A(rho) = scale * rho^(-alpha); requires 2*alpha > dim in use.
-
-    The scale never reaches the normalized couplings: A(rho)/sqrt(S2) is
-    computed from the unscaled power alone, so rescaling all couplings by a
-    constant leaves every normalized argument bit-for-bit unchanged.
-    """
-
-    alpha: float
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be positive and finite")
-
-    def __call__(self, rho: np.ndarray | float) -> np.ndarray | float:
-        return self.scale * np.asarray(rho, dtype=np.float64) ** (-self.alpha)
-
-    def normalized_array(self, radii: np.ndarray, s2_value: float) -> np.ndarray:
-        """Normalized couplings A(rho)/sqrt(S2) with the scale cancelled exactly."""
-        return radii ** (-self.alpha) / math.sqrt(s2_value)
-
-    def check_dim(self, d: int) -> None:
-        if not 2.0 * self.alpha > d:
-            raise ValueError("normalization diverges unless 2*alpha > dim")
 
 
 @dataclass(frozen=True)
@@ -215,17 +185,6 @@ def normalization(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     return delone_tail_sum(ps, radii, power * alpha, r)
 
 
-def _required_r_max(d: int, rp: float, alpha: float, target_tail: float) -> float:
-    """Window radius making the S2 tail certificate <= target_tail.
-
-    ``rp`` must be the packing radius that ``delone_tail_sum`` bounds the
-    tail with, so the suggested radius meets the bound that refused.
-    """
-    # invert tail(R) = 3^d d / rp^d * T(2a, d, R - rp) = target
-    t_int = target_tail * rp ** d / ((3.0 ** d) * d)
-    return rp + ((2.0 * alpha - d) * t_int) ** (1.0 / (d - 2.0 * alpha))
-
-
 def _far_series(u: np.ndarray, counts: np.ndarray, at: np.ndarray,
                 t_max: float) -> tuple[np.ndarray, np.ndarray]:
     """F(t) over the far sites on the grid ``at``, and the bound Rbar + E.
@@ -288,8 +247,10 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     (enforced).  Raises if the window certificate at max |t| exceeds
     ``tol``, reporting the window radius that would achieve it.
     """
-    coupling = CouplingPowerLaw(alpha)
-    coupling.check_dim(ps.dim)
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
+    if not 2.0 * alpha > ps.dim:
+        raise ValueError("normalization diverges unless 2*alpha > dim")
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
     times = np.asarray(times, dtype=np.float64)

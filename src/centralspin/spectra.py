@@ -46,7 +46,6 @@ from .bounds import CertifiedValue
 __all__ = [
     "L_ORACLE",
     "CosProduct",
-    "TernaryPoint",
     "CharFunctionReport",
     "cos_product",
     "recursion_check",
@@ -60,6 +59,10 @@ __all__ = [
 # C(pi) for base 3, computed once offline with 30-digit arithmetic at
 # depth 60 (mpmath); the literature value is 0.46 to two digits.
 L_ORACLE = 0.46627457895504917055732477549818
+# truncation tolerance and float slack of the identity checks
+_TOL = 1e-12
+# binary digits of each sample that char_function_check maps through D
+_CHAR_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -119,20 +122,19 @@ def cos_product(base: int, t: float, tol: float) -> CertifiedValue:
     return CosProduct(base, tol=tol).evaluate(t)
 
 
-def recursion_check(base: int, t: float, tol: float = 1e-12) -> bool:
+def recursion_check(base: int, t: float) -> bool:
     """Check the reindexing identity C(base * t) = cos(t) * C(t).
 
     Both sides are evaluated with certified error; the identity must hold
-    within the combined certificates plus tol of float slack.
+    within the combined certificates plus 1e-12 of float slack.
     """
-    lhs = cos_product(base, base * t, tol)
-    rhs = cos_product(base, t, tol)
+    lhs = cos_product(base, base * t, _TOL)
+    rhs = cos_product(base, t, _TOL)
     ct = math.cos(t)
-    return abs(lhs.value - ct * rhs.value) <= lhs.err + abs(ct) * rhs.err + tol
+    return abs(lhs.value - ct * rhs.value) <= lhs.err + abs(ct) * rhs.err + _TOL
 
 
-def persistent_oscillation(base: int, i_max: int, tol: float = 1e-12
-                           ) -> list[tuple[int, float]]:
+def persistent_oscillation(base: int, i_max: int) -> list[tuple[int, float]]:
     """Values C(base^i pi) for i = 0..i_max via exact sign bookkeeping.
 
     Peeling one factor gives C(base * t) = cos(t) * C(t), and base^j pi is
@@ -149,7 +151,7 @@ def persistent_oscillation(base: int, i_max: int, tol: float = 1e-12
         raise ValueError("base must be >= 3 (base 2 hits cos(pi/2) = 0)")
     if not (0 <= i_max <= 12):
         raise ValueError("need 0 <= i_max <= 12")
-    c_pi = cos_product(base, math.pi, tol)
+    c_pi = cos_product(base, math.pi, _TOL)
     out: list[tuple[int, float]] = []
     for i in range(i_max + 1):
         if base % 2 == 1:
@@ -158,40 +160,14 @@ def persistent_oscillation(base: int, i_max: int, tol: float = 1e-12
             sign = -1.0 if i >= 1 else 1.0
         val = sign * c_pi.value
         t_i = float(base ** i) * math.pi
-        direct = cos_product(base, t_i, tol)
-        slack = t_i * 1e-15 + tol
+        direct = cos_product(base, t_i, _TOL)
+        slack = t_i * 1e-15 + _TOL
         if abs(direct.value - val) > direct.err + c_pi.err + slack:
             raise AssertionError(
                 f"oscillation value at i={i} disagrees with direct "
                 f"evaluation: {val!r} vs {direct.value!r}")
         out.append((i, val))
     return out
-
-
-@dataclass(frozen=True)
-class TernaryPoint:
-    """A point of [0,1] with its first ``depth`` exact ternary digits."""
-
-    y: Fraction
-    digits: tuple[int, ...]
-    depth: int
-
-    @classmethod
-    def from_value(cls, y: float | Fraction, depth: int) -> "TernaryPoint":
-        yf = Fraction(y)
-        if not 0 <= yf <= 1:
-            raise ValueError("y must lie in [0, 1]")
-        digits = []
-        frac = yf
-        for _ in range(depth):
-            frac *= 3
-            dig = int(frac)  # floor for nonnegative frac
-            if dig == 3:     # only at y = 1 (0.222... repeating)
-                dig = 2
-                frac = Fraction(3)
-            digits.append(dig)
-            frac -= dig
-        return cls(y=yf, digits=tuple(digits), depth=depth)
 
 
 def cantor_function(y: float | Fraction, depth: int = 60) -> float:
@@ -203,10 +179,18 @@ def cantor_function(y: float | Fraction, depth: int = 60) -> float:
     """
     if not 1 <= depth <= 60:
         raise ValueError("need 1 <= depth <= 60")
-    pt = TernaryPoint.from_value(y, depth)
+    frac = Fraction(y)
+    if not 0 <= frac <= 1:
+        raise ValueError("y must lie in [0, 1]")
     acc = Fraction(0)
     bits: list[int] = []
-    for dig in pt.digits:
+    for _ in range(depth):
+        frac *= 3
+        dig = int(frac)  # floor for nonnegative frac
+        if dig == 3:     # only at y = 1 (0.222... repeating)
+            dig = 2
+            frac = Fraction(3)
+        frac -= dig
         if dig == 1:
             bits.append(1)
             break
@@ -266,8 +250,7 @@ class CharFunctionReport:
         return bool(np.all(self.holds))
 
 
-def char_function_check(n_samples: int, t_list, seed: int,
-                        depth: int = 50) -> CharFunctionReport:
+def char_function_check(n_samples: int, t_list, seed: int) -> CharFunctionReport:
     """Monte-Carlo check that E[e^(itX)], X = D(U), equals e^(it/2) C_3(t).
 
     Samples u_j keyed on (seed, j) carry odd 53-bit mantissas, so every
@@ -280,13 +263,12 @@ def char_function_check(n_samples: int, t_list, seed: int,
     t_arr = np.asarray(t_list, dtype=np.float64).ravel()
     if np.any(np.abs(t_arr) > 50.0):
         raise ValueError("|t| must be <= 50")
-    if not 1 <= depth <= 52:
-        raise ValueError("need 1 <= depth <= 52 (bit-exact digits)")
     idx = np.arange(n_samples, dtype=np.int64)
     mant = (counter_hash(seed, idx) >> np.uint64(11)) | np.uint64(1)
-    # X = D(u) by Horner over the exact binary digits of the mantissa
+    # X = D(u) by Horner over the first _CHAR_DEPTH exact binary digits of
+    # the mantissa
     x_val = np.zeros(n_samples, dtype=np.float64)
-    for n in range(depth, 0, -1):
+    for n in range(_CHAR_DEPTH, 0, -1):
         bit = (mant >> np.uint64(53 - n)) & np.uint64(1)
         sgn = 2.0 * bit.astype(np.float64) - 1.0
         x_val = (x_val + sgn) / 3.0

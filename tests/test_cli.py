@@ -1,6 +1,7 @@
 """End-to-end command-line runs: outputs, sidecars, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import centralspin
+from centralspin import cli
 
 CLI = [sys.executable, "-m", "centralspin"]
 
@@ -128,3 +130,48 @@ def test_bad_arguments_exit_two(tmp_path):
     assert res.returncode == 2
     res = run_cli(cwd=tmp_path)
     assert res.returncode == 2
+
+
+# sha256 of every file that each command writes, recorded from a checkout of
+# the commit before the CLI's sidecars and reports shared one writer
+ARTIFACT_DIGESTS = [
+    (["points", "--dim", "2", "--set", "poisson", "--rmax", "15", "--seed", "7",
+      "--out", "pts.csv"],
+     {"pts.csv": "f1292292974c877951c1087ca7f5d30acb09016604e174003c6ba1dac592ebd4",
+      "pts.csv.json": "5710de5074e825eabe523b7557ca0b25d37cec1c4bbdf5e4e7b3b656502f7804"}),
+    (["points", "--dim", "3", "--set", "jitter", "--rmax", "6", "--seed", "2",
+      "--margin", "1", "--out", "pj.csv"],
+     {"pj.csv": "9eba18f6bf5ac0a4584f1d13f02ae56f982bf0254c7ea71aabde953c20e1f59b",
+      "pj.csv.json": "31ee4f2767f31b892f5e65586134d4d7d446b25174e7385dfef4077f1f07f3c6"}),
+    (["bounds", "--dim", "1", "--rmax", "200", "--alpha", "2", "--r", "5", "10",
+      "--out", "b.json"],
+     {"b.json": "8743857371df79149a7d14fa4015fae9a7b875af45e9c2d5647e5fe8eaedb7da"}),
+    (["ramsey", "--dim", "1", "--alpha", "2", "--r", "10", "--rmax", "2000",
+      "--tmax", "4", "--dt", "0.01", "--out", "prof.csv"],
+     {"prof.csv": "d97d369715a2692e6dc38d65cfb0533cc05fbec185d4a3a2dea71ebf0838f370",
+      "prof.csv.json": "304633db8fe5cc3dd2a9c7dd64f768e1bc2e9c30e9a4fa6e591c10f44eb5d7c3"}),
+    (["ramsey", "--dim", "2", "--alpha", "1.5", "--tol", "2", "--rmax", "60",
+      "--tmax", "3", "--dt", "0.05", "--out", "p2.csv"],
+     {"p2.csv": "e43515ad5d54ae325dd21baf934621c884a38ec282bd3bf44821b773b60673c9",
+      "p2.csv.json": "e593eba4ecaf6528c451dfb74a3fd42f2d0c6a21d7898f6039ebb9208a41aa7e"}),
+    (["spectra", "product", "--base", "3", "--tmax", "10", "--out", "sp.csv"],
+     {"sp.csv": "2a1ec7a5a2be70fc78458a3f1c58b02911c5ac02b7b24e095ceaac41ce5171c2",
+      "sp.csv.json": "759d09b10efa6e7a6779029b3042c0439dc974b66f0b056700814a46d8fa13fd"}),
+    (["spectra", "cantor", "--n", "100", "--depth", "40", "--seed", "1",
+      "--out", "ca.csv"],
+     {"ca.csv": "c82c18ffbe53c0761998a03568160f3364ac2f4d3f7e13c0727579d3121247b0",
+      "ca.csv.json": "28a64b21664e370a95ed611313342572b15983a85f77261eb900e8fa18fc8801"}),
+    (["basis", "--pairs", "20", "--kmax", "4", "--nrange", "5", "--out", "ba.json"],
+     {"ba.json": "1cdc9359f709874f7b0c5beb6699e22063fa00ca5bfe701c1c8a1ecfc1833f3f"}),
+]
+
+
+def test_artifacts_are_byte_identical_to_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, want in ARTIFACT_DIGESTS:
+        before = set(os.listdir(tmp_path))
+        assert cli.run(argv) == 0, argv
+        written = set(os.listdir(tmp_path)) - before
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in written}
+        assert got == want, argv

@@ -100,6 +100,16 @@ def test_poisson_hard_core_is_closed():
     assert min_pair_distance(ps) >= ps.meta["r_min"]
 
 
+def test_poisson_fill_sweep_accepts_a_probe_exactly_r_min_away():
+    # a probe lies exactly r_min = 0.8 (ten 0.08 steps) from a sample point:
+    # the KD filters kept it while a squared-distance test rejected it, and
+    # the fill sweep stalled
+    ps = cs.gen_poisson_disk(2, 25.0, 0.8, 10)
+    assert ps.n_points == 2118
+    assert min_pair_distance(ps) >= 0.8
+    assert cs.insertable_probes(ps).shape[0] == 0
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_poisson_leaves_no_insertable_probe(d):
     ps = cs.gen_poisson_disk(d, 20.0, 1.0, seed=7)

@@ -144,24 +144,17 @@ def test_normalization_requires_convergent_exponent(grid_sets):
         cs.normalization(ps, radii, 0.9, 10.0, 2)  # 2*alpha < d
 
 
-# ------------------------------------------------------------ scale covariance
-
-def test_coupling_scale_cancels_bitwise():
-    rr = np.linspace(3.0, 40.0, 500)
-    base = cs.CouplingPowerLaw(1.5)
-    scaled = cs.CouplingPowerLaw(1.5, scale=7.25)
-    assert np.array_equal(scaled.normalized_array(rr, 2.375),
-                          base.normalized_array(rr, 2.375))
-    assert np.array_equal(np.asarray(scaled(rr)), 7.25 * np.asarray(base(rr)))
-
+# ------------------------------------------------------------ coupling law
 
 def test_coupling_validation():
-    with pytest.raises(ValueError):
-        cs.CouplingPowerLaw(0.0)
-    with pytest.raises(ValueError):
-        cs.CouplingPowerLaw(1.0, scale=0.0)
-    with pytest.raises(ValueError):
-        cs.CouplingPowerLaw(1.0).check_dim(3)  # 2*alpha = 2 < 3
+    ps = cs.gen_lattice(3, 4.0)
+    radii = cs.DeloneRadii(r_pack=0.5, r_cover=1.0)
+    times = np.linspace(0.0, 1.0, 11)
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            cs.evaluate_profile(ps, radii, alpha, 1.0, times, tol=0.1)
+    with pytest.raises(ValueError, match="unless 2\\*alpha > dim"):
+        cs.evaluate_profile(ps, radii, 1.0, 1.0, times, tol=0.1)  # 2*alpha = 2 < 3
 
 
 # -------------------------------------------------------------------- refusal
