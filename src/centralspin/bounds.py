@@ -31,10 +31,10 @@ yields the tail sandwich (valid once r >= 3 r_cover)
 
 with T(alpha, d, r) = r^(d-alpha)/(alpha-d) the exact tail integral.
 Upper bounds must use a *lower* estimate of r_pack and lower bounds an
-*upper* estimate of r_cover, so the helpers below consistently take the
-structural packing radius recorded by the generators (or a caller
-override) for upper bounds and ``r_cover + probe_resolution`` for lower
-bounds.
+*upper* estimate of r_cover, so the helpers below consistently take
+``pointsets._certified_r_pack`` (the smaller of the measured and the
+structural packing radius; the one rule, shared with the annulus checks)
+for upper bounds and ``r_cover + probe_resolution`` for lower bounds.
 
 All finite sums use compensated (exact pairwise) accumulation via
 ``math.fsum`` over chunks, so the arithmetic error of the reported value
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointsets import DeloneRadii, PointSet
+from .pointsets import DeloneRadii, PointSet, _certified_r_pack
 
 __all__ = [
     "CertifiedValue",
@@ -134,29 +134,8 @@ def _fsum_chunked(x: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _effective_r_pack(ps: PointSet, radii: DeloneRadii,
-                      r_pack: float | None) -> float:
-    """Packing radius safe for upper bounds (never an overestimate).
-
-    The measured r_pack is exact for the stored points, but upper bounds
-    extrapolate beyond R_max where only the generator's structural
-    guarantee applies; use the smaller of the two, or a caller override
-    for hand-built sets whose meta carries no guarantee.
-    """
-    if r_pack is not None:
-        if not (0.0 < r_pack <= radii.r_pack):
-            raise ValueError("r_pack override must be in (0, measured r_pack]")
-        return r_pack
-    structural = ps.meta.get("r_pack_structural")
-    if structural is None:
-        raise ValueError(
-            "point set meta carries no structural packing radius; "
-            "pass r_pack= explicitly")
-    return min(float(structural), radii.r_pack)
-
-
-def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
-                    *, r_pack: float | None = None) -> CertifiedValue:
+def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
+                    r: float) -> CertifiedValue:
     """Certified S(r) = sum over |p| >= r of |p|^(-alpha).
 
     The stored points cover |p| <= R_max exactly; the discarded tail
@@ -173,7 +152,7 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
         raise ValueError("tail sum diverges unless alpha > d")
     if not (0.0 <= r <= ps.region_radius):
         raise ValueError("need 0 <= r <= region_radius")
-    rp = _effective_r_pack(ps, radii, r_pack)
+    rp = _certified_r_pack(ps, radii)
     desc = ps.radii_desc
     n = desc.size - int(np.searchsorted(desc[::-1], r, side="left"))
     if n:
@@ -189,32 +168,36 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     return CertifiedValue(value=finite + 0.5 * tail, err=0.5 * tail)
 
 
-def _required_r_max(d: int, rp: float, alpha: float, target_tail: float) -> float:
+def _required_r_max(ps: PointSet, radii: DeloneRadii, alpha: float,
+                    target_tail: float) -> float:
     """Window radius making the S2 tail certificate <= target_tail.
 
-    ``rp`` must be the packing radius that ``delone_tail_sum`` bounds the
-    tail with, so the suggested radius meets the bound that refused.
+    Inverts the tail bound of ``delone_tail_sum`` at exponent 2 alpha with
+    the same packing radius, so the suggested radius meets the bound that
+    refused.
     """
+    d = ps.dim
+    rp = _certified_r_pack(ps, radii)
     # invert tail(R) = 3^d d / rp^d * T(2a, d, R - rp) = target
     t_int = target_tail * rp ** d / ((3.0 ** d) * d)
     return rp + ((2.0 * alpha - d) * t_int) ** (1.0 / (d - 2.0 * alpha))
 
 
-def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
-                   *, r_pack: float | None = None) -> SandwichResult:
+def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float,
+                   r: float) -> SandwichResult:
     """Check the two-sided tail sandwich at radius r (requires r >= 3 r_cover).
 
     lower = d/(3^d rc^d) * T(alpha, d, r + rc) with rc = r_cover upper
     estimate, upper = 3^d d/rp^d * T(alpha, d, r - rp) with rp the
-    structural packing radius; both must bracket the certified sum
+    certified packing radius; both must bracket the certified sum
     (including its own tail uncertainty).
     """
     d = ps.dim
-    rp = _effective_r_pack(ps, radii, r_pack)
+    rp = _certified_r_pack(ps, radii)
     rc = radii.r_cover_upper
     if r < 3.0 * rc:
         raise ValueError("sandwich requires r >= 3 * r_cover")
-    s = delone_tail_sum(ps, radii, alpha, r, r_pack=r_pack)
+    s = delone_tail_sum(ps, radii, alpha, r)
     lower = d / ((3.0 ** d) * rc ** d) * integral_tail(alpha, d, r + rc)
     upper = (3.0 ** d) * d / rp ** d * integral_tail(alpha, d, r - rp)
     holds = (lower <= s.hi) and (s.lo <= upper)
@@ -262,12 +245,12 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
                              correction_bound=corr, holds=holds)
 
 
-def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
-                     *, r_pack: float | None = None) -> tuple[float, CertifiedValue]:
+def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float,
+                     r: float) -> tuple[float, CertifiedValue]:
     """Scaled tail r^(alpha-d) * S(r) with its certified two-sided window.
 
-    The sandwich transported through the scaling gives the r-dependent
-    bracket
+    The sandwich of ``sandwich_check`` (same radii, same refusals) scaled by
+    r^(alpha-d) is the r-dependent bracket
 
         d/(3^d rc^d (alpha-d)) * (1 + rc/r)^(d-alpha)
             <= r^(alpha-d) S(r) <=
@@ -275,17 +258,11 @@ def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
 
     which pinches (per set) as r grows; the first return value is the
     measured ratio, the second the certified window as a CertifiedValue
-    centred on the bracket.
+    centred on the bracket.  The endpoints are the scaled sandwich bounds,
+    so they agree with the closed forms to a few ulp.
     """
-    d = ps.dim
-    rp = _effective_r_pack(ps, radii, r_pack)
-    rc = radii.r_cover_upper
-    if r < 3.0 * rc:
-        raise ValueError("asymptotic window requires r >= 3 * r_cover")
-    s = delone_tail_sum(ps, radii, alpha, r, r_pack=r_pack)
-    scale = r ** (alpha - d)
-    ratio = scale * s.value
-    lo = d / ((3.0 ** d) * rc ** d * (alpha - d)) * (1.0 + rc / r) ** (d - alpha)
-    hi = (3.0 ** d) * d / (rp ** d * (alpha - d)) * (1.0 - rp / r) ** (d - alpha)
+    res = sandwich_check(ps, radii, alpha, r)
+    scale = r ** (alpha - ps.dim)
+    lo, hi = scale * res.lower, scale * res.upper
     window = CertifiedValue(value=0.5 * (lo + hi), err=0.5 * (hi - lo))
-    return ratio, window
+    return scale * res.finite_sum, window

@@ -97,6 +97,8 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.alpha is None:
+        args.alpha = float(args.dim + 1)
     ps, radii = _build_set(args)
     rows = []
     ok_all = True
@@ -112,6 +114,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
+    if args.alpha is None:
+        args.alpha = (args.dim + 1) / 2
     ps, radii = _build_set(args)
     times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
     prof = ramsey.evaluate_profile(ps, radii, args.alpha, args.r, times,
@@ -245,9 +249,8 @@ def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], bool]]]:
         radii = pointsets.measure_radii(ps, margin=10.0)
         n = 20 if quick else 100
         u = counter_uniform(13, np.arange(2 * n, dtype=np.int64))
-        rp = min(radii.r_pack, float(ps.meta["r_pack_structural"]))
         for i in range(n):
-            a = rp + u[2 * i] * 20.0
+            a = radii.r_pack + u[2 * i] * 20.0
             b = a + 0.5 + u[2 * i + 1] * 15.0
             rep = pointsets.check_annulus_bounds(ps, radii, float(a), float(b))
             if not rep.holds:
@@ -375,14 +378,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="certified tail sums + sandwich report")
     _add_set_flags(p, default_rmax=60.0)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, help="default: dim + 1")
     p.add_argument("--r", type=float, nargs="+", default=[5.0, 10.0])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("ramsey", help="dephasing profile CSV")
     _add_set_flags(p, default_rmax=None)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, help="default: (dim + 1) / 2")
     p.add_argument("--r", type=float, default=10.0)
     p.add_argument("--tmax", type=float, default=8.0)
     p.add_argument("--dt", type=float, default=0.01)

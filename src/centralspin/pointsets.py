@@ -200,12 +200,13 @@ class DeloneRadii:
     probe_resolution: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.r_pack > 0):
-            raise ValueError("r_pack must be positive")
+        if not (self.r_pack > 0 and math.isfinite(self.r_pack)):
+            raise ValueError("r_pack must be positive and finite")
         if not (self.r_cover > 0 and math.isfinite(self.r_cover)):
             raise ValueError("r_cover must be positive and finite")
-        if self.probe_resolution < 0:
-            raise ValueError("probe_resolution must be >= 0")
+        if not (self.probe_resolution >= 0
+                and math.isfinite(self.probe_resolution)):
+            raise ValueError("probe_resolution must be finite and >= 0")
 
     @property
     def r_cover_upper(self) -> float:
@@ -737,6 +738,20 @@ def count_annulus(ps: PointSet, a: float, b: float) -> AnnulusCount:
     return AnnulusCount(a=float(a), b=float(b), n_sites=n)
 
 
+def _certified_r_pack(ps: PointSet, radii: DeloneRadii) -> float:
+    """Packing radius safe for every upper bound: min(structural, measured).
+
+    The measured r_pack covers only the margin core; beyond it, out to
+    region_radius and past it, only the generator's ``r_pack_structural``
+    holds, so a set whose meta carries none is refused.
+    """
+    structural = ps.meta.get("r_pack_structural")
+    if structural is None:
+        raise ValueError("point set meta carries no structural packing "
+                         "radius (r_pack_structural)")
+    return min(float(structural), radii.r_pack)
+
+
 def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,
                          a: float, b: float) -> AnnulusBoundsReport:
     """Check the volume-argument annulus count sandwich.
@@ -747,14 +762,11 @@ def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,
     giving N >= (b/r_cover-1)^d - (a/r_cover+1)^d (clamped at 0).  The lower
     bound uses the conservative covering estimate r_cover + probe_resolution
     (an understated covering radius would overstate the bound); the upper
-    bound uses min(measured, structural) packing radius, both being valid
-    certificates for the counted sample.
+    bound uses ``_certified_r_pack``, so a set whose meta carries no
+    structural packing radius is refused with a ``ValueError``.
     """
     d = ps.dim
-    rp = radii.r_pack
-    structural = ps.meta.get("r_pack_structural")
-    if structural is not None:
-        rp = min(rp, float(structural))
+    rp = _certified_r_pack(ps, radii)
     if a < rp:
         raise ValueError("lower annulus radius must satisfy a >= r_pack")
     rc = radii.r_cover_upper

@@ -74,8 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (CertifiedValue, _effective_r_pack, _required_r_max,
-                     delone_tail_sum)
+from .bounds import CertifiedValue, _required_r_max, delone_tail_sum
 from .pointsets import DeloneRadii, PointSet
 
 __all__ = [
@@ -273,8 +272,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     err_at_max = min(2.0, math.expm1(t_max * t_max * s_tail))
     if err_at_max > tol:
         tail_target = math.log1p(tol) * s2.value / (t_max * t_max)
-        rp = _effective_r_pack(ps, radii, None)
-        need = _required_r_max(ps.dim, rp, alpha, tail_target)
+        need = _required_r_max(ps, radii, alpha, tail_target)
         raise ValueError(
             f"truncation certificate {err_at_max:.3g} exceeds tol={tol:g} "
             f"at t={t_max:g}; need region_radius >= {need:.6g}")

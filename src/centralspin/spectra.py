@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rng import counter_hash
+from ._rng import counter_uniform_open
 from .bounds import CertifiedValue
 
 __all__ = [
@@ -264,7 +264,7 @@ def char_function_check(n_samples: int, t_list, seed: int) -> CharFunctionReport
     if np.any(np.abs(t_arr) > 50.0):
         raise ValueError("|t| must be <= 50")
     idx = np.arange(n_samples, dtype=np.int64)
-    mant = (counter_hash(seed, idx) >> np.uint64(11)) | np.uint64(1)
+    mant = (counter_uniform_open(seed, idx) * 2.0 ** 53).astype(np.uint64)
     # X = D(u) by Horner over the first _CHAR_DEPTH exact binary digits of
     # the mantissa
     x_val = np.zeros(n_samples, dtype=np.float64)

@@ -112,6 +112,20 @@ def test_tail_sum_refuses_divergent_or_oversized_requests(grid_sets):
         cs.delone_tail_sum(tiny, tiny_radii, 2.0, 0.5)
 
 
+def test_sets_without_a_structural_packing_radius_are_refused_alike():
+    ps = cs.PointSet(1, np.arange(1.0, 50.0).reshape(-1, 1), 50.0)
+    radii = cs.DeloneRadii(r_pack=0.5, r_cover=0.5)
+    calls = [lambda: cs.delone_tail_sum(ps, radii, 2.0, 10.0),
+             lambda: cs.sandwich_check(ps, radii, 2.0, 10.0),
+             lambda: cs.check_annulus_bounds(ps, radii, 2.0, 20.0)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match="r_pack_structural") as refusal:
+            call()
+        messages.add(str(refusal.value))
+    assert len(messages) == 1
+
+
 # -------------------------------------------------------------- sandwich_check
 
 def test_sandwich_fields_reproduce_the_formulas(grid_sets):
@@ -177,3 +191,22 @@ def test_scaled_tail_approaches_the_line_constant(line_large):
     # the window pinches as the inner radius grows
     _, window_far = cs.asymptotic_ratio(ps, radii, 2.0, 1000.0)
     assert window_far.err < window.err
+
+
+def test_asymptotic_window_is_the_closed_form_bracket(grid_sets):
+    for d, kind in ((1, "poisson"), (2, "jitter"), (3, "lattice")):
+        ps, radii = grid_sets[0][(d, kind)]
+        rp = min(radii.r_pack, ps.meta["r_pack_structural"])
+        rc = radii.r_cover_upper
+        for alpha in (d + 0.5, d + 2.0):
+            for r in (3.0 * rc, 25.0):
+                _, window = cs.asymptotic_ratio(ps, radii, alpha, r)
+                lo = (d / (3.0 ** d * rc ** d * (alpha - d))
+                      * (1.0 + rc / r) ** (d - alpha))
+                hi = (3.0 ** d * d / (rp ** d * (alpha - d))
+                      * (1.0 - rp / r) ** (d - alpha))
+                # centre and half-width; lo itself is a cancellation when hi >> lo
+                assert math.isclose(window.value, 0.5 * (lo + hi),
+                                    rel_tol=1e-14), (d, alpha, r)
+                assert math.isclose(window.err, 0.5 * (hi - lo),
+                                    rel_tol=1e-14), (d, alpha, r)

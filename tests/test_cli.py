@@ -64,6 +64,15 @@ def test_bounds_report_holds(tmp_path):
         assert row["sum"] + row["err"] <= row["upper"]
 
 
+def test_bounds_alpha_defaults_to_dim_plus_one(tmp_path):
+    res = run_cli("bounds", "--dim", "2", "--rmax", "20", "--out", "b.json",
+                  cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((tmp_path / "b.json").read_text())
+    assert doc["config"]["params"]["alpha"] == 3.0
+    assert doc["all_hold"] is True
+
+
 def test_ramsey_profile_csv(tmp_path):
     res = run_cli("ramsey", "--dim", "1", "--alpha", "2", "--r", "10",
                   "--rmax", "2000", "--tmax", "4", "--dt", "0.01",

@@ -198,6 +198,15 @@ def test_point_set_csv_has_coordinate_header(tmp_path):
     assert header.split(",") == ["x1", "x2"]
 
 
+@pytest.mark.parametrize("field", ["r_pack", "r_cover", "probe_resolution"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_delone_radii_refuse_non_finite_fields(field, bad):
+    fields = {"r_pack": 0.5, "r_cover": 0.5, "probe_resolution": 0.0}
+    fields[field] = bad
+    with pytest.raises(ValueError, match=field):
+        cs.DeloneRadii(**fields)
+
+
 def test_radii_property_is_cached_norms():
     ps = cs.gen_lattice(2, 10.0)
     assert np.array_equal(ps.radii, np.linalg.norm(ps.points, axis=1))
