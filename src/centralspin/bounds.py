@@ -258,11 +258,17 @@ def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float,
 
     which pinches (per set) as r grows; the first return value is the
     measured ratio, the second the certified window as a CertifiedValue
-    centred on the bracket.  The endpoints are the scaled sandwich bounds,
-    so they agree with the closed forms to a few ulp.
+    centred on the bracket and containing it exactly.  Rounding: with
+    u = 2^-53 and e = alpha - d (exact in floats, as 0 < d < alpha), each
+    endpoint carries at most 12 u from its own roundings (pow within 1 ulp)
+    plus 2e u (twice the first-order e u) from rounding r + rc or r - rp
+    before the power -e; centring and reading ``lo``/``hi`` back cost at
+    most 4 u * hi, so ``err`` is padded by (16 + 2e) u * hi.
     """
     res = sandwich_check(ps, radii, alpha, r)
-    scale = r ** (alpha - ps.dim)
+    e = alpha - ps.dim
+    scale = r ** e
     lo, hi = scale * res.lower, scale * res.upper
-    window = CertifiedValue(value=0.5 * (lo + hi), err=0.5 * (hi - lo))
+    pad = (16.0 + 2.0 * e) * 2.0 ** -53 * hi
+    window = CertifiedValue(value=0.5 * (lo + hi), err=0.5 * (hi - lo) + pad)
     return scale * res.finite_sum, window

@@ -88,9 +88,18 @@ def _add_set_flags(p: argparse.ArgumentParser,
     p.add_argument("--margin", type=float, default=0.0)
 
 
+def _time_grid(args) -> np.ndarray:
+    """Times 0, dt, 2 dt, ... through tmax; refuses flags that build no grid."""
+    if not (math.isfinite(args.tmax) and args.tmax >= 0.0
+            and math.isfinite(args.dt) and args.dt > 0.0):
+        raise ValueError("--tmax must be finite and >= 0, --dt finite and > 0")
+    return np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
+
+
 def _cmd_points(args) -> int:
     ps, radii = _build_set(args)
-    ps.to_csv(args.out)
+    _write_csv(args.out, [f"x{i + 1}" for i in range(ps.dim)],
+               list(ps.points.T))
     _write_json(args.out + ".json", args, n_points=ps.n_points, meta=ps.meta,
                 radii=asdict(radii))
     return 0
@@ -116,8 +125,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_ramsey(args) -> int:
     if args.alpha is None:
         args.alpha = (args.dim + 1) / 2
+    times = _time_grid(args)
     ps, radii = _build_set(args)
-    times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
     prof = ramsey.evaluate_profile(ps, radii, args.alpha, args.r, times,
                                    args.tol)
     diag = ramsey.compact_bound_check(prof)
@@ -146,7 +155,7 @@ def _cmd_spectra(args) -> int:
                    [np.array(rows_x), np.array(rows_d), np.array(rows_c)])
         keys = ("n", "seed")
     else:
-        times = np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
+        times = _time_grid(args)
         if args.tmax >= math.pi:
             # pi never lands on a rational grid, yet it is the natural probe
             # point for self-similar products; include it explicitly

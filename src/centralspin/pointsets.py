@@ -35,12 +35,10 @@ reshuffles the points that were already there.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -102,13 +100,15 @@ class PointSet:
     set contains *all* points of the underlying infinite set inside the
     ball; ``meta`` records the generator and its parameters, including the
     structural packing-radius certificate ``r_pack_structural`` that the
-    tail-bound machinery relies on.
+    tail-bound machinery relies on.  ``radii`` holds the radial distances
+    rho = |p|, the norms taken once to validate the set (read-only).
     """
 
     dim: int
     points: np.ndarray
     region_radius: float
     meta: Mapping[str, Any] = field(default_factory=dict)
+    radii: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
@@ -129,19 +129,14 @@ class PointSet:
             if (np.diff(pts[order], axis=0) == 0).all(axis=1).any():
                 raise ValueError("duplicate points are not allowed")
         pts.setflags(write=False)
+        norms.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "radii", norms)
         object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        """Radial distances rho = |p| of all points (read-only array)."""
-        r = np.linalg.norm(self.points, axis=1)
-        r.setflags(write=False)
-        return r
 
     @cached_property
     def radii_desc(self) -> np.ndarray:
@@ -153,35 +148,6 @@ class PointSet:
         r = np.sort(self.radii)
         r.setflags(write=False)
         return r[::-1]
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write points as CSV with header x1,...,xd, 17 significant digits."""
-        header = ",".join(f"x{i + 1}" for i in range(self.dim))
-        np.savetxt(path, self.points, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "dim": self.dim,
-            "region_radius": self.region_radius,
-            "meta": dict(self.meta),
-            "points": self.points.tolist(),
-        }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json()))
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "PointSet":
-        pts = np.asarray(obj["points"], dtype=np.float64).reshape(-1, int(obj["dim"]))
-        return cls(dim=int(obj["dim"]), points=pts,
-                   region_radius=float(obj["region_radius"]), meta=dict(obj["meta"]))
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "PointSet":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)
@@ -360,32 +326,54 @@ def _probe_lattice(d: int, R_max: float, r_min: float, spacing: float):
         yield block
 
 
-def insertable_probes(ps: PointSet, spacing: float | None = None,
-                      r_min: float | None = None) -> np.ndarray:
+def insertable_probes(ps: PointSet) -> np.ndarray:
     """Probe-lattice points where another hard-core point would still fit.
 
-    Scans {k * spacing}^d over the annulus r_min <= |q| <= region_radius
-    and returns every probe at distance >= r_min from all existing points
-    (probes that are themselves sample points do not count).  For a
-    gen_poisson_disk output with spacing = its fill_spacing (the default)
+    Reads the generator parameters ``r_min`` and ``fill_spacing`` from meta
+    and refuses a set whose meta lacks either.  Scans {k * fill_spacing}^d
+    over the annulus r_min <= |q| <= region_radius and returns every probe
+    at distance >= r_min from all existing points (probes that are
+    themselves sample points do not count).  For a gen_poisson_disk output
     the result is empty by construction — the generator's maximality
-    certificate.  ``r_min`` and ``spacing`` default to the generator
-    parameters recorded in meta.
+    certificate, re-derived here with a KD tree, independently of the
+    generator's occupancy grid.
     """
-    if r_min is None:
-        if "r_min" not in ps.meta:
-            raise ValueError("point set meta has no r_min; pass r_min=")
-        r_min = float(ps.meta["r_min"])
-    if spacing is None:
-        spacing = float(ps.meta.get("fill_spacing", r_min / 10.0))
+    if not {"r_min", "fill_spacing"} <= ps.meta.keys():
+        raise ValueError("insertable_probes needs r_min and fill_spacing in "
+                         "meta (a gen_poisson_disk sample)")
+    r_min = float(ps.meta["r_min"])
+    spacing = float(ps.meta["fill_spacing"])
     if not (0.0 < spacing <= r_min):
-        raise ValueError("need 0 < spacing <= r_min")
+        raise ValueError("need 0 < fill_spacing <= r_min")
     tree = cKDTree(ps.points)
     holes = []
     for block in _probe_lattice(ps.dim, ps.region_radius, r_min, spacing):
         dist, _ = tree.query(block, workers=_query_workers())
         holes.append(block[dist >= r_min])
     return np.concatenate(holes, axis=0) if holes else np.empty((0, ps.dim))
+
+
+def _accept(occ: np.ndarray, buf: np.ndarray, n_pts: int, offs: np.ndarray,
+            flat: np.ndarray, cand: np.ndarray, ok: np.ndarray,
+            sel: np.ndarray,
+            r_min: float) -> tuple[int, np.ndarray, list[np.ndarray]]:
+    """Hard-core acceptance of the candidates ``sel``, one per cell of a phase.
+
+    ``cand`` holds candidates axis-major, ``flat`` their padded cell
+    indices, ``ok`` which may be accepted (cleared in place).  A candidate
+    is rejected if *any* neighbour gathered from the occupancy grid lies at
+    sqrt(dd) < r_min, the distance the KD filters compare; survivors go
+    into ``occ`` and ``buf``.  Returns the new point count and the pairs
+    read: candidate indices and neighbour coordinates, axis-major.
+    """
+    row, nbr = _occupied_neighbours(occ, flat[sel], offs)
+    i = sel[row]
+    q = [x[nbr] for x in buf.T]
+    ok[i[np.sqrt(_sq_dist(cand, i, q)) < r_min]] = False
+    acc = sel[ok[sel]]
+    occ[flat[acc]] = n_pts + np.arange(acc.size)
+    buf[n_pts:n_pts + acc.size] = cand[:, acc].T
+    return n_pts + acc.size, i, q
 
 
 # failed darts after which a cell is left to the fill sweep
@@ -404,13 +392,13 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     phases: cells within one phase are spaced too far apart to conflict
     with each other, so a whole phase is accepted simultaneously against
     the occupancy grid and the construction is deterministic and
-    chunk-independent.  A phase reads its neighbours with one
-    (cells x offsets) gather; a dart is rejected if *any* occupied
-    neighbour lies within r_min, an order-free OR over the offsets, so the
-    outcome does not depend on the order the pairs are tested in.  A cell
-    retires when a single accepted point covers it entirely (its center
-    lies within r_min - half_diagonal of the point), and dies after
-    _BUDGET = 8 failed darts otherwise.
+    chunk-independent.  Both phases below accept through the one step
+    ``_accept``: one (cells x offsets) gather, and a candidate is rejected
+    if *any* occupied neighbour lies at sqrt(dd) < r_min, an order-free OR,
+    so the outcome does not depend on the order the pairs are tested in.  A
+    cell retires when a single accepted point covers it entirely (its
+    center lies within r_min - half_diagonal of the point, read from the
+    same gather), and dies after _BUDGET = 8 failed darts otherwise.
 
     A final fill sweep revisits every budget-dead cell and inserts points
     of the absolute probe lattice {k * fill_spacing : k integer}^d
@@ -419,9 +407,9 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     way are already covered within < r_min, so after the sweep *every*
     probe-lattice point of the legal region either conflicts with a sample
     point or is one: that is the grid-probe maximality certificate, and
-    ``insertable_probes`` re-derives it from the output alone.  Every
-    acceptance test rejects at sqrt(dd) < r_min, the distance the KD filters
-    compare, so the grid never rejects a probe that the filters keep.  Between
+    ``insertable_probes`` re-derives it from the output alone.  ``_accept``
+    rejects at sqrt(dd) < r_min, the distance the KD filters compare, so the
+    grid never rejects a probe that the filters keep.  Between
     probes the guarantee degrades smoothly: any remaining hole is shallower
     than r_min + fill_spacing * sqrt(d)/2.
 
@@ -486,25 +474,13 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
         blocked = np.zeros(cells.shape[0], dtype=bool)
         for p in range(n_phases):
             sel = np.nonzero(phases == p)[0]
-            if not sel.size:
-                continue
-            if n_pts:
-                # conflicts against everything accepted so far (including
-                # earlier phases of this round), all window offsets in one
-                # gather; additionally a cell whose center lies within
-                # r_min - half_diag of an accepted point is entirely
-                # covered by that point's exclusion ball and retires (it
-                # can never host anything, and no probe inside it could)
-                row, nbr = _occupied_neighbours(occ, flat[sel], offs)
-                i = sel[row]
-                q = [x[nbr] for x in buf.T]
-                ok[i[np.sqrt(_sq_dist(darts, i, q)) < r_min]] = False
-                blocked[i[_sq_dist(cent, i, q) < blk2]] = True
-            acc = sel[ok[sel]]
-            if acc.size:
-                occ[flat[acc]] = n_pts + np.arange(acc.size)
-                buf[n_pts:n_pts + acc.size] = darts[:, acc].T
-                n_pts += acc.size
+            n_pts, i, q = _accept(occ, buf, n_pts, offs, flat, darts, ok,
+                                  sel, r_min)
+            # from the same gather: a cell whose center lies within
+            # r_min - half_diag of an earlier point is entirely covered by
+            # that point's exclusion ball and retires (it can never host
+            # anything, and no probe inside it could)
+            blocked[i[_sq_dist(cent, i, q) < blk2]] = True
         failed = ~ok
         fails[failed] += 1
         dead = failed & ~blocked & (fails > _BUDGET)
@@ -551,24 +527,15 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
                 scoord = np.floor((surv - lo) / cell).astype(np.int64)
                 sflat = (scoord + pad) @ pstrides
                 sphase = (scoord % stride) @ sp
+                good = np.ones(surv.shape[0], dtype=bool)
                 n0 = n_pts
                 for p in range(n_phases):
                     sel = np.nonzero(sphase == p)[0]
-                    if not sel.size:
-                        continue
                     _, ridx = np.unique(sflat[sel], return_index=True)
                     ridx.sort()
-                    cidx = sel[ridx]  # one probe per cell, in survivor order
-                    good = np.ones(cidx.size, dtype=bool)
-                    if n_pts:
-                        row, nbr = _occupied_neighbours(occ, sflat[cidx], offs)
-                        dd = _sq_dist(surv.T, cidx[row], [x[nbr] for x in buf.T])
-                        good[row[np.sqrt(dd) < r_min]] = False
-                    acc = cidx[good]
-                    if acc.size:
-                        occ[sflat[acc]] = n_pts + np.arange(acc.size)
-                        buf[n_pts:n_pts + acc.size] = surv[acc]
-                        n_pts += acc.size
+                    # one probe per cell, in survivor order
+                    n_pts, _, _ = _accept(occ, buf, n_pts, offs, sflat, surv.T,
+                                          good, sel[ridx], r_min)
                 if n_pts == n0:
                     raise RuntimeError("fill sweep stalled; this is a bug")
                 nd, _ = cKDTree(buf[n0:n_pts]).query(

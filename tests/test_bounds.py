@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -210,3 +211,20 @@ def test_asymptotic_window_is_the_closed_form_bracket(grid_sets):
                                     rel_tol=1e-14), (d, alpha, r)
                 assert math.isclose(window.err, 0.5 * (hi - lo),
                                     rel_tol=1e-14), (d, alpha, r)
+
+
+def test_asymptotic_window_contains_the_40_digit_bracket(grid_sets):
+    # the window's own endpoints, value -/+ err as floats, against the closed
+    # forms evaluated to 40 digits at the same float inputs
+    with mpmath.workdps(40):
+        for d, kind in ((1, "poisson"), (2, "jitter"), (3, "lattice")):
+            ps, radii = grid_sets[0][(d, kind)]
+            rp = mpmath.mpf(min(radii.r_pack, ps.meta["r_pack_structural"]))
+            rc = mpmath.mpf(radii.r_cover_upper)
+            for alpha in (d + 0.5, d + 2.0):
+                for r in (3.0 * radii.r_cover_upper, 25.0):
+                    _, window = cs.asymptotic_ratio(ps, radii, alpha, r)
+                    e, rr = mpmath.mpf(alpha) - d, mpmath.mpf(r)
+                    lo = d / (3 ** d * rc ** d * e) * (1 + rc / rr) ** -e
+                    hi = 3 ** d * d / (rp ** d * e) * (1 - rp / rr) ** -e
+                    assert window.lo <= lo and hi <= window.hi, (d, alpha, r)

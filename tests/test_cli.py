@@ -134,11 +134,21 @@ def test_verify_quick_passes(tmp_path):
     assert "all 10 checks passed" in res.stdout
 
 
-def test_bad_arguments_exit_two(tmp_path):
+def test_bad_arguments_exit_two(tmp_path, monkeypatch, capsys):
     res = run_cli("ramsey", "--dim", "7", "--out", "x.csv", cwd=tmp_path)
     assert res.returncode == 2
     res = run_cli(cwd=tmp_path)
     assert res.returncode == 2
+    # time grids that build nothing are refused, not a traceback or one row
+    monkeypatch.chdir(tmp_path)
+    for argv in (["ramsey", "--dt", "0"], ["spectra", "product", "--dt", "0"],
+                 ["spectra", "product", "--dt", "-1"],
+                 ["spectra", "product", "--tmax", "-1"],
+                 ["spectra", "product", "--tmax", "nan"],
+                 ["ramsey", "--dt", "inf"]):
+        assert cli.run(argv + ["--out", "x.csv"]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: --"), argv
+        assert not (tmp_path / "x.csv").exists(), argv
 
 
 # sha256 of every file that each command writes, recorded from a checkout of

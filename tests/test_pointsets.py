@@ -1,7 +1,6 @@
 """Point-set generators, Delone radii, and annulus counting."""
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -126,11 +125,20 @@ def test_poisson_covering_certificate(grid_sets):
         assert cs.insertable_probes(ps).shape[0] == 0
 
 
-# sha256 of points.tobytes(), recorded at the commit before the
-# (cells x offsets) gather replaced the per-offset conflict loops
+# sha256 of points.tobytes().  The d = 2, 3 entries at (20, 1.0) and
+# (15, 1.5) were recorded at the commit before the (cells x offsets) gather
+# replaced the per-offset conflict loops; the other three (d = 1, and the
+# sets whose fill sweep probes land exactly r_min from a point) at the
+# commit before the dart rounds and the fill sweep shared one acceptance step
 POISSON_DIGESTS = {
+    (1, 50.0, 0.7, 2):
+        "2b2217690b984b877051364f485bcfb195d10717b6ab44fe0a29d232ee033faf",
     (2, 20.0, 1.0, 7):
         "046f3d872a9e072556ce30379353caf741989da67579a6931f57bbffe9cc5a30",
+    (2, 25.0, 0.8, 10):
+        "f67dc4b212d4b1b9e193dd668b2d3a3190b9115a4e9f4d783581394cb212e709",
+    (2, 50.0, 1.3, 4):
+        "39d4281f7f414a884a0a1b57b2f271cfb9fdfc2e3bef6bf31c8ea3290a09ea77",
     (3, 15.0, 1.5, 3):
         "c14c488adb30e6dad251b927ba9abdc18cad6f6284918510c962a3575dff304b",
 }
@@ -157,9 +165,14 @@ def test_insertable_probes_argument_validation():
     ps = cs.gen_lattice(2, 10.0)  # no r_min in meta
     with pytest.raises(ValueError):
         cs.insertable_probes(ps)
-    assert cs.insertable_probes(ps, r_min=1.0).shape[0] == 0
-    with pytest.raises(ValueError):
-        cs.insertable_probes(ps, r_min=1.0, spacing=1.5)  # spacing > r_min
+
+
+def test_insertable_probes_refuses_a_set_without_its_fill_spacing():
+    ps = cs.gen_poisson_disk(2, 10.0, 1.0, seed=7)
+    meta = {k: v for k, v in ps.meta.items() if k != "fill_spacing"}
+    bare = cs.PointSet(2, ps.points, ps.region_radius, meta)
+    with pytest.raises(ValueError, match="fill_spacing"):
+        cs.insertable_probes(bare)
 
 
 # ------------------------------------------------------- PointSet container
@@ -174,28 +187,6 @@ def test_point_set_rejects_origin_duplicates_and_outliers():
     pts = np.array([[11.0, 0.0]])
     with pytest.raises(ValueError):
         cs.PointSet(2, pts, 10.0)
-
-
-def test_point_set_json_roundtrip(tmp_path):
-    ps = cs.gen_poisson_disk(2, 10.0, 1.0, seed=7)
-    path = tmp_path / "set.json"
-    ps.save_json(path)
-    back = cs.PointSet.load_json(path)
-    assert back.dim == ps.dim
-    assert back.region_radius == ps.region_radius
-    assert np.array_equal(back.points, ps.points)
-    assert back.meta == ps.meta
-    # the serialized form is self-describing JSON
-    doc = json.loads(path.read_text())
-    assert {"dim", "region_radius", "points"} <= set(doc)
-
-
-def test_point_set_csv_has_coordinate_header(tmp_path):
-    ps = cs.gen_lattice(2, 5.0)
-    path = tmp_path / "set.csv"
-    ps.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header.split(",") == ["x1", "x2"]
 
 
 @pytest.mark.parametrize("field", ["r_pack", "r_cover", "probe_resolution"])
