@@ -134,6 +134,15 @@ def _fsum_chunked(x: np.ndarray) -> float:
     return math.fsum(parts)
 
 
+def _check_tail_exponent(d: int, alpha: float) -> None:
+    """Refuse an exponent whose tail sum diverges in dimension d.
+
+    Reads no point set, so the CLI calls it before building one.
+    """
+    if not alpha > d:  # also refuses nan
+        raise ValueError("tail sum diverges unless alpha > d")
+
+
 def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
                     r: float) -> CertifiedValue:
     """Certified S(r) = sum over |p| >= r of |p|^(-alpha).
@@ -148,8 +157,7 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
     Requires alpha > d and 0 <= r <= R_max.
     """
     d = ps.dim
-    if alpha <= d:
-        raise ValueError("tail sum diverges unless alpha > d")
+    _check_tail_exponent(d, alpha)
     if not (0.0 <= r <= ps.region_radius):
         raise ValueError("need 0 <= r <= region_radius")
     rp = _certified_r_pack(ps, radii)

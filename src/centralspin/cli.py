@@ -108,6 +108,7 @@ def _cmd_points(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.alpha is None:
         args.alpha = float(args.dim + 1)
+    bounds_mod._check_tail_exponent(args.dim, args.alpha)
     ps, radii = _build_set(args)
     rows = []
     ok_all = True
@@ -126,6 +127,7 @@ def _cmd_ramsey(args) -> int:
     if args.alpha is None:
         args.alpha = (args.dim + 1) / 2
     times = _time_grid(args)
+    ramsey._check_profile_args(args.dim, args.alpha, args.tol)
     ps, radii = _build_set(args)
     prof = ramsey.evaluate_profile(ps, radii, args.alpha, args.r, times,
                                    args.tol)

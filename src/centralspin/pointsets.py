@@ -39,12 +39,14 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._rng import counter_uniform
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "PointSet",
@@ -78,6 +80,18 @@ def _query_workers() -> int:
         raise ValueError("CENTRALSPIN_THREADS must be -1 (all cores) or a "
                          f"positive integer, got {value!r}")
     return workers
+
+
+def _kd_tree(points: np.ndarray) -> cKDTree:
+    """KD tree over ``points``.
+
+    scipy is imported here, on the first KD query, not with the package: it
+    is most of ``import centralspin``, and a run that queries no tree
+    (spectra, basis, every radius in d = 1) never needs it.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 def _check_dim(d: int) -> None:
@@ -345,7 +359,7 @@ def insertable_probes(ps: PointSet) -> np.ndarray:
     spacing = float(ps.meta["fill_spacing"])
     if not (0.0 < spacing <= r_min):
         raise ValueError("need 0 < fill_spacing <= r_min")
-    tree = cKDTree(ps.points)
+    tree = _kd_tree(ps.points)
     holes = []
     for block in _probe_lattice(ps.dim, ps.region_radius, r_min, spacing):
         dist, _ = tree.query(block, workers=_query_workers())
@@ -495,7 +509,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     # Fill sweep: scan budget-dead cells with absolute-lattice probes.
     if dead_cells:
         dcells = np.concatenate(dead_cells, axis=0)
-        tree = cKDTree(buf[:n_pts]) if n_pts else None
+        tree = _kd_tree(buf[:n_pts]) if n_pts else None
         ccenters = lo + (dcells.astype(np.float64) + 0.5) * cell
         if tree is not None:
             dist, _ = tree.query(ccenters, workers=_query_workers())
@@ -538,7 +552,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
                                           good, sel[ridx], r_min)
                 if n_pts == n0:
                     raise RuntimeError("fill sweep stalled; this is a bug")
-                nd, _ = cKDTree(buf[n0:n_pts]).query(
+                nd, _ = _kd_tree(buf[n0:n_pts]).query(
                     surv, workers=_query_workers())
                 surv = surv[nd >= r_min]
 
@@ -558,13 +572,14 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
 _RESOLUTION = {2: 0.05, 3: 0.12}
 
 
-def _covering_exact_1d(sites: np.ndarray, R_dom: float) -> float:
-    """Exact sup over [-R_dom, R_dom] of distance to the nearest site (d=1)."""
-    xs = np.sort(sites.ravel())
-    cands = [-R_dom, R_dom]
+def _covering_exact_1d(xs: np.ndarray, R_dom: float) -> float:
+    """Exact sup over [-R_dom, R_dom] of distance to the nearest site (d=1).
+
+    ``xs`` holds the sites in ascending order.
+    """
     mids = (xs[:-1] + xs[1:]) / 2.0
-    cands.extend(mids[(mids >= -R_dom) & (mids <= R_dom)].tolist())
-    q = np.asarray(cands)
+    q = np.concatenate(([-R_dom, R_dom],
+                        mids[(mids >= -R_dom) & (mids <= R_dom)]))
     pos = np.searchsorted(xs, q)
     left = np.abs(q - xs[np.clip(pos - 1, 0, len(xs) - 1)])
     right = np.abs(xs[np.clip(pos, 0, len(xs) - 1)] - q)
@@ -664,6 +679,13 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     the nearest site; the probe search is exact in d=1 and branch-and-bound
     elsewhere, with the remaining gap reported as probe_resolution.
 
+    In d=1 both radii come from one sort of the line and no KD tree is
+    built, so they never read CENTRALSPIN_THREADS.  The core is a run of the
+    sorted points and its smallest neighbour gap a is the minimum pairwise
+    distance; a KD query reports sqrt(fl(a*a)), which in binary64 equals
+    |a| short of overflow and underflow, so r_pack is the same float.  The
+    origin site is inserted into the sorted points, not sorted in again.
+
     The origin counts as a site for covering purposes: the central spin
     occupies it, so the punctured ball around 0 is not a hole of the bath
     geometry.  (Without this, the 1-D integer lattice would report
@@ -674,19 +696,23 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     R_dom = ps.region_radius - margin
     if R_dom <= 0:
         raise ValueError("margin leaves no probe domain")
-    core = ps.points[ps.radii <= R_dom]
-    if core.shape[0] < 2:
+    inside = ps.radii <= R_dom
+    if np.count_nonzero(inside) < 2:
         raise ValueError("need at least 2 points inside the margin region")
-    nn_dist, _ = cKDTree(core).query(core, k=2, workers=_query_workers())
-    r_pack = float(nn_dist[:, 1].min()) / 2.0
-
-    sites = np.concatenate([ps.points, np.zeros((1, ps.dim))], axis=0)
     if ps.dim == 1:
-        r_cover = _covering_exact_1d(sites, R_dom)
-        gap = 0.0
-    else:
-        r_cover, gap = _covering_bnb(cKDTree(sites), ps.dim, R_dom,
-                                     _RESOLUTION[ps.dim])
+        xs = np.sort(ps.points.ravel())
+        # |x| is the norm of a 1-vector, so this run is the core, sorted
+        run = xs[np.abs(xs) <= R_dom]
+        sites = np.insert(xs, np.searchsorted(xs, 0.0), 0.0)
+        return DeloneRadii(r_pack=float(np.diff(run).min()) / 2.0,
+                           r_cover=_covering_exact_1d(sites, R_dom))
+
+    core = ps.points[inside]
+    nn_dist, _ = _kd_tree(core).query(core, k=2, workers=_query_workers())
+    r_pack = float(nn_dist[:, 1].min()) / 2.0
+    sites = np.concatenate([ps.points, np.zeros((1, ps.dim))], axis=0)
+    r_cover, gap = _covering_bnb(_kd_tree(sites), ps.dim, R_dom,
+                                 _RESOLUTION[ps.dim])
     return DeloneRadii(r_pack=r_pack, r_cover=r_cover, probe_resolution=gap)
 
 

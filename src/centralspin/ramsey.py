@@ -232,6 +232,19 @@ def _near_product(u: np.ndarray, counts: np.ndarray, at: np.ndarray,
     return out
 
 
+def _check_profile_args(d: int, alpha: float, tol: float) -> None:
+    """Refuse a coupling exponent or tolerance that no profile takes in d.
+
+    Reads no point set, so the CLI calls it before building one.
+    """
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
+    if not 2.0 * alpha > d:
+        raise ValueError("normalization diverges unless 2*alpha > dim")
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0")
+
+
 def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
                      times: np.ndarray, tol: float) -> RamseyProfile:
     """Evaluate C_r on a time grid with certified error.
@@ -246,12 +259,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     (enforced).  Raises if the window certificate at max |t| exceeds
     ``tol``, reporting the window radius that would achieve it.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
-    if not 2.0 * alpha > ps.dim:
-        raise ValueError("normalization diverges unless 2*alpha > dim")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    _check_profile_args(ps.dim, alpha, tol)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a nonempty finite 1-D grid")

@@ -151,6 +151,63 @@ def test_bad_arguments_exit_two(tmp_path, monkeypatch, capsys):
         assert not (tmp_path / "x.csv").exists(), argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--dim", "3", "--alpha", "2", "--rmax", "40"],
+     "tail sum diverges unless alpha > d"),
+    (["bounds", "--alpha", "nan"], "tail sum diverges unless alpha > d"),
+    (["ramsey", "--dim", "3", "--alpha", "1", "--rmax", "30"],
+     "normalization diverges unless 2*alpha > dim"),
+    (["ramsey", "--alpha", "inf"], "alpha must be positive and finite"),
+    (["ramsey", "--dim", "2", "--tol", "0"], "tol must be > 0"),
+], ids=["bounds-d3-alpha2", "bounds-alpha-nan", "ramsey-d3-alpha1",
+        "ramsey-alpha-inf", "ramsey-tol0"])
+def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
+                                                        monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the point set was built before the refusal")
+
+    for name in ("gen_lattice", "gen_jittered", "gen_poisson_disk",
+                 "measure_radii"):
+        monkeypatch.setattr(cli.pointsets, name, must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv + ["--out", "x.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
+# Runs the given CLI command (or none) in a fresh interpreter and reports
+# whether scipy got imported: only a KD query should load it.
+SCIPY_PROBE = """\
+import sys
+import centralspin
+from centralspin import cli
+rc = cli.run(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(rc, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    ([], False),
+    (["spectra", "product", "--tmax", "2", "--out", "sp.csv"], False),
+    (["spectra", "cantor", "--n", "20", "--out", "ca.csv"], False),
+    (["basis", "--pairs", "5", "--kmax", "3", "--nrange", "2",
+      "--out", "ba.json"], False),
+    (["bounds", "--dim", "1", "--rmax", "100", "--r", "5", "--out", "b.json"],
+     False),
+    (["ramsey", "--dim", "1", "--alpha", "2", "--rmax", "2000", "--tmax", "4",
+      "--dt", "0.1", "--out", "r.csv"], False),
+    (["points", "--dim", "2", "--set", "poisson", "--rmax", "8",
+      "--out", "p.csv"], True),
+], ids=["import", "spectra-product", "spectra-cantor", "basis", "bounds-d1",
+        "ramsey-d1", "points-poisson"])
+def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
+    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                         cwd=tmp_path, env=CHILD_ENV, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", str(loads_scipy)]
+
+
 # sha256 of every file that each command writes, recorded from a checkout of
 # the commit before the CLI's sidecars and reports shared one writer
 ARTIFACT_DIGESTS = [

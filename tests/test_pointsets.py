@@ -229,6 +229,25 @@ def test_measured_line_radii_are_exact():
     assert math.isclose(radii.r_cover, want_cover, rel_tol=0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: cs.gen_lattice(1, 300.0),
+    lambda: cs.gen_jittered(1, 300.0, 0.0, seed=5),
+    lambda: cs.gen_jittered(1, 300.0, 0.25, seed=5),
+    lambda: cs.gen_jittered(1, 300.0, 0.49, seed=5),
+    lambda: cs.gen_poisson_disk(1, 300.0, 0.7, seed=2),
+    lambda: cs.gen_poisson_disk(1, 300.0, 1.3, seed=4),
+], ids=["lattice", "jitter0", "jitter0.25", "jitter0.49", "poisson0.7",
+        "poisson1.3"])
+def test_line_packing_radius_is_the_kd_tree_value(make):
+    # the d = 1 r_pack comes from a sort; a KD query over the same core must
+    # give the same float, since sqrt(fl(a * a)) == |a| in binary64
+    ps = make()
+    for margin in (0.0, 1.0, 7.5, 150.0):
+        core = ps.points[ps.radii <= ps.region_radius - margin]
+        dist, _ = cKDTree(core).query(core, k=2)
+        assert cs.measure_radii(ps, margin).r_pack == dist[:, 1].min() / 2.0
+
+
 # (r_pack, r_cover, probe_resolution) recorded at the commit before the
 # covering search skipped children bounded through their parent's site
 PINNED_RADII = [
