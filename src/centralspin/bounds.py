@@ -91,7 +91,14 @@ class CertifiedValue:
 
 @dataclass(frozen=True)
 class SandwichResult:
-    """Two-sided volume-counting bracket around a measured tail sum."""
+    """Two-sided volume-counting bracket around a measured tail sum.
+
+    ``finite_sum`` is not the bare window sum: it is the centre of the
+    certified S(r) interval of ``delone_tail_sum`` (window sum + tail/2),
+    and ``tail_err`` is its half-width.  The ``bounds`` report's ``sum`` and
+    ``err`` columns are these two fields, and the first value that
+    ``asymptotic_ratio`` returns is ``finite_sum`` scaled.
+    """
 
     r: float
     lower: float
@@ -265,7 +272,8 @@ def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float,
         3^d d/(rp^d (alpha-d)) * (1 - rp/r)^(d-alpha),
 
     which pinches (per set) as r grows; the first return value is the
-    measured ratio, the second the certified window as a CertifiedValue
+    measured ratio (r^(alpha-d) times the centre of the certified S(r)
+    interval), the second the certified window as a CertifiedValue
     centred on the bracket and containing it exactly.  Rounding: with
     u = 2^-53 and e = alpha - d (exact in floats, as 0 < d < alpha), each
     endpoint carries at most 12 u from its own roundings (pow within 1 ulp)

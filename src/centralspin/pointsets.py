@@ -219,16 +219,6 @@ class AnnulusBoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_candidates(d: int, radius: float) -> np.ndarray:
-    """All points of Z^d \\ {0} with |z| <= radius, in lexicographic order."""
-    m = int(math.floor(radius))
-    axis = np.arange(-m, m + 1, dtype=np.int64)
-    grid = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    norms2 = (grid.astype(np.float64) ** 2).sum(axis=1)
-    keep = (norms2 > 0) & (norms2 <= radius * radius)
-    return grid[keep]
-
-
 def gen_lattice(d: int, R_max: float) -> PointSet:
     """All points of Z^d \\ {0} with |p| <= R_max.
 
@@ -238,7 +228,7 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
     _check_dim(d)
     if R_max < 1:
         raise ValueError("R_max must be >= 1 (the ball would contain no lattice point)")
-    pts = _lattice_candidates(d, R_max).astype(np.float64)
+    pts = np.concatenate(tuple(_probe_lattice(d, R_max, 1.0, 1.0)))
     meta = {"kind": "lattice", "dim": d, "R_max": float(R_max),
             "r_pack_structural": 0.5}
     return PointSet(dim=d, points=pts, region_radius=float(R_max), meta=meta)
@@ -261,10 +251,10 @@ def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
     if R_max < 1:
         raise ValueError("R_max must be >= 1")
     margin = max(0.5, jitter * math.sqrt(d))
-    cand = _lattice_candidates(d, R_max + margin)
-    pts = cand.astype(np.float64)
+    pts = np.concatenate(tuple(_probe_lattice(d, R_max + margin, 1.0, 1.0)))
+    z = pts.astype(np.int64)
     for axis in range(d):
-        u = counter_uniform(seed, *(cand[:, k] for k in range(d)), np.int64(axis))
+        u = counter_uniform(seed, *(z[:, k] for k in range(d)), np.int64(axis))
         pts[:, axis] += u * (2.0 * jitter) - jitter
     keep = (pts ** 2).sum(axis=1) <= R_max * R_max
     meta = {"kind": "jittered", "dim": d, "R_max": float(R_max),
@@ -315,7 +305,9 @@ def _probe_lattice(d: int, R_max: float, r_min: float, spacing: float):
     The coordinates are computed as k * spacing from integer k, so any two
     callers with the same parameters enumerate bit-identical floats; the
     fill sweep and ``insertable_probes`` rely on that to agree exactly.
-    Chunks arrive in lexicographic k order.
+    Chunks arrive in lexicographic k order.  With r_min = spacing = 1 this
+    is Z^d \\ {0} inside the ball, in lexicographic order: integer norms are
+    exact, so |z| >= 1 means z != 0; both lattice generators take it so.
     """
     k_hi = int(math.floor(R_max / spacing))
     ks = np.arange(-k_hi, k_hi + 1, dtype=np.int64)
@@ -367,23 +359,34 @@ def insertable_probes(ps: PointSet) -> np.ndarray:
     return np.concatenate(holes, axis=0) if holes else np.empty((0, ps.dim))
 
 
-def _accept(occ: np.ndarray, buf: np.ndarray, n_pts: int, offs: np.ndarray,
-            flat: np.ndarray, cand: np.ndarray, ok: np.ndarray,
-            sel: np.ndarray,
-            r_min: float) -> tuple[int, np.ndarray, list[np.ndarray]]:
-    """Hard-core acceptance of the candidates ``sel``, one per cell of a phase.
+def _exclude(occ: np.ndarray, buf: np.ndarray, offs: np.ndarray,
+             flat: np.ndarray, cand: np.ndarray, ok: np.ndarray,
+             sel: np.ndarray,
+             r_min: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The hard-core test: clear ``ok`` for each candidate of ``sel`` that
+    has an occupied neighbour, over the cell offsets ``offs``, at
+    sqrt(dd) < r_min, the distance a KD query compares.
 
-    ``cand`` holds candidates axis-major, ``flat`` their padded cell
-    indices, ``ok`` which may be accepted (cleared in place).  A candidate
-    is rejected if *any* neighbour gathered from the occupancy grid lies at
-    sqrt(dd) < r_min, the distance the KD filters compare; survivors go
-    into ``occ`` and ``buf``.  Returns the new point count and the pairs
-    read: candidate indices and neighbour coordinates, axis-major.
+    ``cand`` holds candidates axis-major and ``flat`` their padded cell
+    indices.  Returns the pairs read: candidate indices and neighbour
+    coordinates, axis-major.
     """
     row, nbr = _occupied_neighbours(occ, flat[sel], offs)
     i = sel[row]
     q = [x[nbr] for x in buf.T]
     ok[i[np.sqrt(_sq_dist(cand, i, q)) < r_min]] = False
+    return i, q
+
+
+def _accept(occ: np.ndarray, buf: np.ndarray, n_pts: int, offs: np.ndarray,
+            flat: np.ndarray, cand: np.ndarray, ok: np.ndarray,
+            sel: np.ndarray,
+            r_min: float) -> tuple[int, np.ndarray, list[np.ndarray]]:
+    """Put the candidates of ``sel`` that ``_exclude`` keeps, at most one
+    per cell, into ``occ`` and ``buf``; returns the new point count and the
+    pairs ``_exclude`` read.
+    """
+    i, q = _exclude(occ, buf, offs, flat, cand, ok, sel, r_min)
     acc = sel[ok[sel]]
     occ[flat[acc]] = n_pts + np.arange(acc.size)
     buf[n_pts:n_pts + acc.size] = cand[:, acc].T
@@ -401,31 +404,35 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
 
     Dart throwing on a background grid of cells of side r_min/sqrt(d): at
     most one point fits per cell, and conflicts reach at most ceil(sqrt(d))
-    cells away.  Each round throws one dart per live cell, keyed on
+    cells away.  floor(2 R_max / cell) + 1 cells a side cover the closed
+    cube [-R_max, R_max]^d, so +R_max has a cell even when 2 R_max / cell
+    is an integer.  Each round throws one dart per live cell, keyed on
     (seed, cell, round), and processes the cells in (nc+1)^d interleaved
     phases: cells within one phase are spaced too far apart to conflict
     with each other, so a whole phase is accepted simultaneously against
     the occupancy grid and the construction is deterministic and
-    chunk-independent.  Both phases below accept through the one step
-    ``_accept``: one (cells x offsets) gather, and a candidate is rejected
-    if *any* occupied neighbour lies at sqrt(dd) < r_min, an order-free OR,
-    so the outcome does not depend on the order the pairs are tested in.  A
-    cell retires when a single accepted point covers it entirely (its
+    chunk-independent.  The grid is the only judge of the hard core:
+    ``_exclude`` does one (cells x offsets) gather and rejects a candidate
+    if *any* occupied neighbour lies at sqrt(dd) < r_min, an order-free OR.
+    A cell retires when a single accepted point covers it entirely (its
     center lies within r_min - half_diagonal of the point, read from the
     same gather), and dies after _BUDGET = 8 failed darts otherwise.
 
-    A final fill sweep revisits every budget-dead cell and inserts points
-    of the absolute probe lattice {k * fill_spacing : k integer}^d
-    (spacing r_min/10 for d <= 2 and r_min/4 for d = 3) wherever a point
-    still legally fits, again phase by phase.  Cells that retire any other
-    way are already covered within < r_min, so after the sweep *every*
-    probe-lattice point of the legal region either conflicts with a sample
-    point or is one: that is the grid-probe maximality certificate, and
-    ``insertable_probes`` re-derives it from the output alone.  ``_accept``
-    rejects at sqrt(dd) < r_min, the distance the KD filters compare, so the
-    grid never rejects a probe that the filters keep.  Between
-    probes the guarantee degrades smoothly: any remaining hole is shallower
-    than r_min + fill_spacing * sqrt(d)/2.
+    A final fill sweep probes every budget-dead cell with the absolute
+    lattice {k * fill_spacing : k integer}^d (spacing r_min/10 for d <= 2
+    and r_min/4 for d = 3).  One KD query against the dart sample only
+    thins the probes to those at distance >= r_min.  Each round then drops
+    every survivor that ``_exclude`` rejects, its own cell included, and
+    accepts the first survivor of each cell, phase by phase.  The first
+    nonempty phase reads the grid as the drop left it, so it accepts every
+    probe it is offered (the ``fill sweep stalled`` raise checks this), and
+    an accepted probe is dropped the round after by its own cell: the
+    sweep ends.  Cells that retire any other way are already covered
+    within < r_min, so after the sweep *every* probe-lattice point of the
+    legal region either conflicts with a sample point or is one: that is
+    the grid-probe maximality certificate, and ``insertable_probes``
+    re-derives it with a KD tree from the output alone.  Between probes
+    any remaining hole is shallower than r_min + fill_spacing * sqrt(d)/2.
 
     The origin's r_min-neighborhood is excluded (the central spin keeps
     hard-core distance from the bath), so the structural packing radius
@@ -437,7 +444,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     fill_spacing = r_min / _FILL_DIVISOR[d]
 
     cell = r_min / math.sqrt(d)
-    n_side = int(math.ceil(2.0 * R_max / cell))
+    n_side = int(math.floor(2.0 * R_max / cell)) + 1  # covers [-R_max, R_max]
     lo = -R_max
     nc = int(math.ceil(math.sqrt(d)))  # conflict window radius, in cells
     pad = nc
@@ -446,8 +453,8 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
         raise ValueError("R_max / r_min too large for the occupancy grid")
     pstrides = np.array([pside ** (d - 1 - k) for k in range(d)], dtype=np.int64)
     occ = np.full(pside ** d, -1, dtype=np.int32)  # accepted point per cell
-    offs = _cell_offsets(d, nc, pstrides)
-    offs = offs[offs != 0]
+    offs_own = _cell_offsets(d, nc, pstrides)  # own cell included
+    offs = offs_own[offs_own != 0]
     r2 = r_min * r_min
     half = cell / 2.0
     half_diag = half * math.sqrt(d)
@@ -508,53 +515,36 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
 
     # Fill sweep: scan budget-dead cells with absolute-lattice probes.
     if dead_cells:
-        dcells = np.concatenate(dead_cells, axis=0)
-        tree = _kd_tree(buf[:n_pts]) if n_pts else None
-        ccenters = lo + (dcells.astype(np.float64) + 0.5) * cell
-        if tree is not None:
-            dist, _ = tree.query(ccenters, workers=_query_workers())
-        else:
-            dist = np.full(ccenters.shape[0], np.inf)
-        cand = dcells[dist + half_diag >= r_min]
-        if cand.shape[0]:
-            cand_mask = np.zeros(pside ** d, dtype=bool)
-            cand_mask[(cand + pad) @ pstrides] = True
-            chunks = []
-            for block in _probe_lattice(d, R_max, r_min, fill_spacing):
-                cflat = (np.floor((block - lo) / cell).astype(np.int64)
-                         + pad) @ pstrides
-                chunks.append(block[cand_mask[cflat]])
-            probes = np.concatenate(chunks, axis=0)
-            del chunks, cand_mask
-            if probes.shape[0] and tree is not None:
-                pdist, _ = tree.query(probes, workers=_query_workers())
-                probes = probes[pdist >= r_min]
-            # Greedy maximal insertion among surviving probes: rounds of
-            # phased acceptance (one representative probe per cell, whole
-            # phases accepted at once against the occupancy grid), then
-            # every survivor within r_min of a new point is dropped.  The
-            # first nonempty phase of a round always accepts, so this
-            # terminates, and the outcome is order-deterministic.
-            order = np.lexsort(probes.T[::-1])
-            surv = probes[order]
-            while surv.shape[0]:
-                scoord = np.floor((surv - lo) / cell).astype(np.int64)
-                sflat = (scoord + pad) @ pstrides
-                sphase = (scoord % stride) @ sp
-                good = np.ones(surv.shape[0], dtype=bool)
-                n0 = n_pts
-                for p in range(n_phases):
-                    sel = np.nonzero(sphase == p)[0]
-                    _, ridx = np.unique(sflat[sel], return_index=True)
-                    ridx.sort()
-                    # one probe per cell, in survivor order
-                    n_pts, _, _ = _accept(occ, buf, n_pts, offs, sflat, surv.T,
-                                          good, sel[ridx], r_min)
-                if n_pts == n0:
-                    raise RuntimeError("fill sweep stalled; this is a bug")
-                nd, _ = _kd_tree(buf[n0:n_pts]).query(
-                    surv, workers=_query_workers())
-                surv = surv[nd >= r_min]
+        dead_mask = np.zeros(pside ** d, dtype=bool)
+        dead_mask[(np.concatenate(dead_cells) + pad) @ pstrides] = True
+        probes = np.concatenate([
+            block[dead_mask[(np.floor((block - lo) / cell).astype(np.int64)
+                             + pad) @ pstrides]]
+            for block in _probe_lattice(d, R_max, r_min, fill_spacing)])
+        # the one KD query only thins the probes; the grid judges them below
+        pdist, _ = _kd_tree(buf[:n_pts]).query(probes, workers=_query_workers())
+        surv = probes[pdist >= r_min]  # lexicographic, as the lattice yields
+        while True:
+            scoord = np.floor((surv - lo) / cell).astype(np.int64)
+            sflat = (scoord + pad) @ pstrides
+            sphase = (scoord % stride) @ sp
+            # drop every survivor the grid excludes, its own cell included
+            good = np.ones(surv.shape[0], dtype=bool)
+            _exclude(occ, buf, offs_own, sflat, surv.T, good,
+                     np.arange(good.size), r_min)
+            if not good.any():
+                break
+            n0 = n_pts
+            for p in range(n_phases):
+                sel = np.nonzero(good & (sphase == p))[0]
+                _, ridx = np.unique(sflat[sel], return_index=True)
+                ridx.sort()
+                # one probe per cell, in survivor order
+                n_pts, _, _ = _accept(occ, buf, n_pts, offs, sflat, surv.T,
+                                      good, sel[ridx], r_min)
+            if n_pts == n0:
+                raise RuntimeError("fill sweep stalled; this is a bug")
+            surv = surv[good]
 
     meta = {"kind": "poisson", "dim": d, "R_max": float(R_max),
             "r_min": float(r_min), "seed": int(seed), "budget": _BUDGET,
@@ -575,15 +565,20 @@ _RESOLUTION = {2: 0.05, 3: 0.12}
 def _covering_exact_1d(xs: np.ndarray, R_dom: float) -> float:
     """Exact sup over [-R_dom, R_dom] of distance to the nearest site (d=1).
 
-    ``xs`` holds the sites in ascending order.
+    ``xs`` holds the distinct sites in ascending order.  The candidates are
+    the domain ends and the gap midpoints.  A rounded midpoint of
+    neighbours lies between them, so they are its nearest sites and
+    min(mid - xs[i], xs[i+1] - mid) is its distance, 0 when it rounds onto
+    a site; only the two ends are placed by ``searchsorted``.
     """
     mids = (xs[:-1] + xs[1:]) / 2.0
-    q = np.concatenate(([-R_dom, R_dom],
-                        mids[(mids >= -R_dom) & (mids <= R_dom)]))
-    pos = np.searchsorted(xs, q)
-    left = np.abs(q - xs[np.clip(pos - 1, 0, len(xs) - 1)])
-    right = np.abs(xs[np.clip(pos, 0, len(xs) - 1)] - q)
-    return float(np.minimum(left, right).max())
+    inside = (mids >= -R_dom) & (mids <= R_dom)
+    gaps = np.minimum(mids - xs[:-1], xs[1:] - mids)[inside]
+    ends = np.array([-R_dom, R_dom])
+    pos = np.searchsorted(xs, ends)
+    left = np.abs(ends - xs[np.clip(pos - 1, 0, len(xs) - 1)])
+    right = np.abs(xs[np.clip(pos, 0, len(xs) - 1)] - ends)
+    return float(max(np.minimum(left, right).max(), gaps.max(initial=0.0)))
 
 
 _BNB_BLOCK = 1 << 12  # parents expanded at once (bounds transient memory)

@@ -55,6 +55,48 @@ def test_lattice_radii_are_the_exact_cube_constants(d, cover, grid_sets):
 
 # ---------------------------------------------------------------- jittered
 
+# sha256 of points.tobytes(), recorded at the commit before the lattice
+# generators took Z^d from the probe-lattice enumerator; they pin the point
+# order as well as the set.  Zero jitter must hash equal to the lattice.
+LATTICE_DIGESTS = {
+    (1, 12.0): "a13a32b25b8bdff00da51a0782ffe84aefd695986609c2206a71283d1255d429",
+    (1, 7.5): "7ce886a8cf493b1e22b30ba6f46ea9f8b2f1f2301698fd4517f4529728064431",
+    (2, 12.0): "4aa54a633be2930f320b138599fd629e3e4c0bff64f94ccc22be08734d365d4d",
+    (2, 7.5): "c34da571969c452dc652db3661722e073ce2d0150b5a1565c14d706438b82b5d",
+    (3, 12.0): "4bd85790a867abaac6aa92d519eca729e803311341ff20655069f5bd3648871e",
+    (3, 7.5): "b6d30aa50a63647688f9172124f9a0bf5b8798431f5807d8f6b98b26697d6c0d",
+}
+# gen_jittered(d, R, eta, seed=5), same commit
+JITTER_DIGESTS = {
+    (1, 12.0, 0.25): "ebf49157c72e170d34658ea13c1139fa2fe3d426e3b75dbca9619cf6936e51fb",
+    (1, 12.0, 0.49): "91dd7f881518b8b1588395adf649e668b793c5647068171ec0316d41abe0fa7d",
+    (1, 7.5, 0.25): "aaaa6007957d8973d4bcd4079b38a9deccbbf62376237201fa025a7e49d8d7b0",
+    (1, 7.5, 0.49): "d4b0aebc8ae4dc327a3efd3c794dedcea7bf99be5d3ee6a922339e264351e4bb",
+    (2, 12.0, 0.25): "36f18de200350128a2093177b99ae79d4edc2b989c8238bb626fe8206504caf7",
+    (2, 12.0, 0.49): "3af11f37eabef7ae8e99da5d2a47bf0022600ed5cd6e4bca0e1e0f57a4eb7399",
+    (2, 7.5, 0.25): "f88856d26547540d945f769b3d96031ce1edccd94e13c5d473c158aedf3cdb77",
+    (2, 7.5, 0.49): "443535b81e464dfff83b26a1188d51dd362505782f07376b31a6820eb7755770",
+    (3, 12.0, 0.25): "893d8d438e4d220efc7bf1ee0330e187226a6c2553b255e52f6cb32ec48cb33a",
+    (3, 12.0, 0.49): "f70b7aa2ff575558aa40b803e3e69f09ae4ab881e395aae6212cc3f4f00964d1",
+    (3, 7.5, 0.25): "95fcf1df7c426bf9947a6b980d6200cfed88c686f56a076f7147cb9361e66122",
+    (3, 7.5, 0.49): "0c04c2faae03a1821b016f19b119c4452245345984fa105e2dcdb279239fd4f7",
+}
+
+
+def _digest(ps: cs.PointSet) -> str:
+    return hashlib.sha256(ps.points.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_DIGESTS))
+def test_lattices_are_bit_identical_to_recorded_digests(case):
+    d, R = case
+    assert _digest(cs.gen_lattice(d, R)) == LATTICE_DIGESTS[case]
+    assert _digest(cs.gen_jittered(d, R, 0.0, seed=5)) == LATTICE_DIGESTS[case]
+    for eta in (0.25, 0.49):
+        got = _digest(cs.gen_jittered(d, R, eta, seed=5))
+        assert got == JITTER_DIGESTS[(d, R, eta)]
+
+
 def test_zero_jitter_reproduces_the_lattice():
     a = cs.gen_lattice(2, 15.0)
     b = cs.gen_jittered(2, 15.0, 0.0, seed=3)
@@ -126,21 +168,33 @@ def test_poisson_covering_certificate(grid_sets):
 
 
 # sha256 of points.tobytes().  The d = 2, 3 entries at (20, 1.0) and
-# (15, 1.5) were recorded at the commit before the (cells x offsets) gather
-# replaced the per-offset conflict loops; the other three (d = 1, and the
-# sets whose fill sweep probes land exactly r_min from a point) at the
-# commit before the dart rounds and the fill sweep shared one acceptance step
+# (15, 1.5, 3) were recorded at the commit before the (cells x offsets)
+# gather replaced the per-offset conflict loops; (1, 50.0, 0.7, 2),
+# (2, 25.0, 0.8, 10) and (2, 50.0, 1.3, 4) (fill sweep probes exactly r_min
+# from a point) at the commit before the dart rounds and the fill sweep
+# shared one acceptance step; the other four at the commit before the
+# occupancy grid became the fill sweep's only judge: R = r_min (no dart
+# lands, so the sweep starts from no point), a third probe exactly r_min
+# away, and a second d = 3 seed
 POISSON_DIGESTS = {
     (1, 50.0, 0.7, 2):
         "2b2217690b984b877051364f485bcfb195d10717b6ab44fe0a29d232ee033faf",
+    (2, 2.0, 2.0, 3):
+        "e4515923b2027dabd2a6d48c1ca16f2827fba6bcaf1f4d14278fe6891395dabb",
     (2, 20.0, 1.0, 7):
         "046f3d872a9e072556ce30379353caf741989da67579a6931f57bbffe9cc5a30",
     (2, 25.0, 0.8, 10):
         "f67dc4b212d4b1b9e193dd668b2d3a3190b9115a4e9f4d783581394cb212e709",
+    (2, 30.0, 0.8, 9):
+        "ae197d2d15c30136e05250f9e385303c91622e26009f4955fd4c449fd6c1bf64",
     (2, 50.0, 1.3, 4):
         "39d4281f7f414a884a0a1b57b2f271cfb9fdfc2e3bef6bf31c8ea3290a09ea77",
+    (3, 3.0, 3.0, 2):
+        "a0fb2a509b6f474ac6d43e307a3a26f5a5673fd98b5a927dbf7e085b9acd48f1",
     (3, 15.0, 1.5, 3):
         "c14c488adb30e6dad251b927ba9abdc18cad6f6284918510c962a3575dff304b",
+    (3, 15.0, 1.5, 4):
+        "facc349d88e80c788cdb3689b1090e6767b2336cef609cd9680241a0af7b4b46",
 }
 
 
@@ -148,7 +202,20 @@ POISSON_DIGESTS = {
 def test_poisson_samples_are_bit_identical_to_recorded_digests(case):
     d, R, r_min, seed = case
     ps = cs.gen_poisson_disk(d, R, r_min, seed=seed)
-    assert hashlib.sha256(ps.points.tobytes()).hexdigest() == POISSON_DIGESTS[case]
+    assert _digest(ps) == POISSON_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case, n_points", [
+    ((1, 5.0, 5.0, 1), 2), ((1, 9.0, 3.0, 2), 4), ((1, 1.0, 1.0, 0), 2),
+], ids=["R5", "R9", "R1"])
+def test_poisson_grid_covers_the_closed_ball(case, n_points):
+    # 2 R_max / cell is an integer here, so the probe at +R_max sits on the
+    # grid's far edge; a grid that stopped short of it left it insertable
+    d, R, r_min, seed = case
+    ps = cs.gen_poisson_disk(d, R, r_min, seed=seed)
+    assert ps.points.max() == R
+    assert ps.n_points == n_points
+    assert cs.insertable_probes(ps).shape[0] == 0
 
 
 def test_insertable_probes_flags_a_real_hole():
@@ -246,6 +313,38 @@ def test_line_packing_radius_is_the_kd_tree_value(make):
         core = ps.points[ps.radii <= ps.region_radius - margin]
         dist, _ = cKDTree(core).query(core, k=2)
         assert cs.measure_radii(ps, margin).r_pack == dist[:, 1].min() / 2.0
+
+
+def _covering_exact_1d_searchsorted(xs, R_dom):
+    """The d = 1 covering search as it was before it read neighbour gaps."""
+    mids = (xs[:-1] + xs[1:]) / 2.0
+    q = np.concatenate(([-R_dom, R_dom],
+                        mids[(mids >= -R_dom) & (mids <= R_dom)]))
+    pos = np.searchsorted(xs, q)
+    left = np.abs(q - xs[np.clip(pos - 1, 0, len(xs) - 1)])
+    right = np.abs(xs[np.clip(pos, 0, len(xs) - 1)] - q)
+    return float(np.minimum(left, right).max())
+
+
+def test_line_covering_equals_the_searchsorted_search():
+    sets = [cs.gen_lattice(1, 300.0), cs.gen_poisson_disk(1, 300.0, 0.7, seed=2),
+            cs.gen_poisson_disk(1, 300.0, 1.3, seed=4)]
+    sets += [cs.gen_jittered(1, 300.0, eta, seed=5) for eta in (0.0, 0.25, 0.49)]
+    for ps in sets:
+        xs = np.sort(ps.points.ravel())
+        sites = np.insert(xs, np.searchsorted(xs, 0.0), 0.0)  # as measure_radii
+        for margin in (0.0, 1.0, 7.5, 150.0, 299.9):
+            R_dom = ps.region_radius - margin
+            want = _covering_exact_1d_searchsorted(sites, R_dom)
+            assert pointsets._covering_exact_1d(sites, R_dom) == want
+    # neighbours one ulp apart: their midpoint rounds onto a site
+    a = 1.0
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 in (a, b)
+    sites = np.array([-3.0, -1.25, 0.0, a, b, np.nextafter(4.0, 0.0), 4.0])
+    for R_dom in (0.5, 1.0, 2.0, 3.9, 10.0):
+        want = _covering_exact_1d_searchsorted(sites, R_dom)
+        assert pointsets._covering_exact_1d(sites, R_dom) == want
 
 
 # (r_pack, r_cover, probe_resolution) recorded at the commit before the
