@@ -161,20 +161,17 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
 
     which is valid because any point of the (unseen) extension lies at
     distance >= 2 r_pack from every other, exactly as inside the window.
-    Requires alpha > d and 0 <= r <= R_max.
+    Requires alpha > d and 0 <= r <= R_max.  The window sum powers each
+    radius of ``ps.shells(r)`` once (largest first, on a reversed view) and
+    repeats it per site; pow is elementwise, so each term is the per-site one.
     """
     d = ps.dim
     _check_tail_exponent(d, alpha)
     if not (0.0 <= r <= ps.region_radius):
         raise ValueError("need 0 <= r <= region_radius")
     rp = _certified_r_pack(ps, radii)
-    desc = ps.radii_desc
-    n = desc.size - int(np.searchsorted(desc[::-1], r, side="left"))
-    if n:
-        terms = desc[:n] ** (-alpha)  # every |p| >= r, ascending magnitudes
-        finite = _fsum_chunked(terms)
-    else:
-        finite = 0.0
+    rho, cnt = ps.shells(r)
+    finite = _fsum_chunked(np.repeat(rho[::-1] ** (-alpha), cnt[::-1]))
     tail_cut = ps.region_radius - rp
     if tail_cut <= 0.0:
         raise ValueError("region too small for the packing radius")

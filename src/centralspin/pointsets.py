@@ -153,15 +153,20 @@ class PointSet:
         return self.points.shape[0]
 
     @cached_property
-    def radii_desc(self) -> np.ndarray:
-        """``radii`` sorted in descending order (read-only, sorted once).
+    def _shell_index(self) -> tuple[np.ndarray, np.ndarray]:
+        rho, cnt = np.unique(self.radii, return_counts=True)
+        rho.setflags(write=False)
+        cnt.setflags(write=False)
+        return rho, cnt
 
-        A reversed view of an ascending sort, so ``radii_desc[::-1]`` is the
-        contiguous ascending array that ``np.searchsorted`` reads in place.
+    def shells(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct radii >= r (closed at r), ascending, and their site counts.
+
+        Read-only views of one cached ``np.unique(radii, return_counts=True)``.
         """
-        r = np.sort(self.radii)
-        r.setflags(write=False)
-        return r[::-1]
+        rho, cnt = self._shell_index
+        i = int(np.searchsorted(rho, r, side="left"))
+        return rho[i:], cnt[i:]
 
 
 @dataclass(frozen=True)
@@ -717,12 +722,13 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
 
 
 def count_annulus(ps: PointSet, a: float, b: float) -> AnnulusCount:
-    """Count points with a <= |p| <= b (closed annulus)."""
+    """Count points with a <= |p| <= b (closed): ``ps.shells(a)`` up to b."""
     if not (0 <= a < b):
         raise ValueError("need 0 <= a < b")
     if b > ps.region_radius:
         raise ValueError("b exceeds region_radius: the set is incomplete there")
-    n = int(((ps.radii >= a) & (ps.radii <= b)).sum())
+    rho, cnt = ps.shells(a)
+    n = int(cnt[:np.searchsorted(rho, b, side="right")].sum())
     return AnnulusCount(a=float(a), b=float(b), n_sites=n)
 
 

@@ -249,22 +249,20 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
                      times: np.ndarray, tol: float) -> RamseyProfile:
     """Evaluate C_r on a time grid with certified error.
 
-    value(t) is the cosine product over the stored points with
-    r <= |p| <= region_radius, with arguments rho^(-alpha) * t / sqrt(S2)
-    at the certified S2's central value; far sites (largest argument
-    <= X0) enter through their even moments.  err(t) bounds the window
-    truncation, the series remainder and the series rounding, clamped to
-    [0, 2]; the module docstring states the chain and what it leaves out.
-    The window term needs every dropped argument < 1 at max |t|
-    (enforced).  Raises if the window certificate at max |t| exceeds
+    value(t) is the cosine product over the (radius, count) pairs of
+    ``ps.shells(r)``, the stored points with r <= |p| <= region_radius, with
+    arguments rho^(-alpha) * t / sqrt(S2) at the certified S2's central value;
+    far sites (largest argument <= X0) enter through their even moments.
+    err(t) bounds the window truncation, the series remainder and the series
+    rounding, clamped to [0, 2]; the module docstring states the chain and
+    what it leaves out.  The window term needs every dropped argument < 1 at
+    max |t| (enforced).  Raises if the window certificate at max |t| exceeds
     ``tol``, reporting the window radius that would achieve it.
     """
     _check_profile_args(ps.dim, alpha, tol)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a nonempty finite 1-D grid")
-    if not (0.0 <= r <= ps.region_radius):
-        raise ValueError("need 0 <= r <= region_radius")
     s2 = normalization(ps, radii, alpha, r, 2)
     s4 = normalization(ps, radii, alpha, r, 4)
     lam = 1.0 / math.sqrt(s2.value)
@@ -285,8 +283,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
             f"truncation certificate {err_at_max:.3g} exceeds tol={tol:g} "
             f"at t={t_max:g}; need region_radius >= {need:.6g}")
 
-    rr = ps.radii
-    u_radii, counts = np.unique(rr[rr >= r], return_counts=True)
+    u_radii, counts = ps.shells(r)
     u = u_radii ** (-alpha) * lam
     far = u * t_max <= _X0
     at, inv = np.unique(np.abs(times), return_inverse=True)
@@ -354,8 +351,8 @@ def uniform_convergence_scan(ps: PointSet, radii: DeloneRadii, alpha: float,
                              *, threshold: float | None = None) -> UniformScanReport:
     """sup-distance to the Gaussian along an ascending ladder of cutoffs."""
     r_list = [float(r) for r in r_list]
-    if any(b <= a for a, b in zip(r_list, r_list[1:])):
-        raise ValueError("r_list must be strictly ascending")
+    if not r_list or any(b <= a for a, b in zip(r_list, r_list[1:])):
+        raise ValueError("r_list must be nonempty and strictly ascending")
     entries = []
     for r in r_list:
         prof = evaluate_profile(ps, radii, alpha, r, times, tol)

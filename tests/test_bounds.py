@@ -81,9 +81,9 @@ def test_tail_sum_interval_sits_on_the_window_sum(grid_sets):
 
 
 def test_tail_sum_matches_a_fresh_sort_at_every_cut():
-    # the finite sum reads a prefix of the once-sorted radii; it must add
-    # the same terms in the same order as sorting the selection afresh,
-    # also when r equals a radius (|p| >= r is closed) or cuts nothing
+    # the finite sum reads the shells of the once-sorted radii beyond r; it
+    # must add the same terms in the same order as sorting the selection
+    # afresh, also when r equals a radius (|p| >= r is closed) or cuts nothing
     ps = cs.gen_jittered(2, 12.0, 0.2, seed=5)
     lat = cs.gen_lattice(2, 12.0)
     for pset in (ps, lat):
@@ -96,7 +96,7 @@ def test_tail_sum_matches_a_fresh_sort_at_every_cut():
                 finite = (bounds._fsum_chunked(np.sort(sel)[::-1] ** (-alpha))
                           if sel.size else 0.0)
                 assert got.value == finite + got.err
-    assert ps.radii_desc is ps.radii_desc  # sorted once, then cached
+    assert ps.shells(7.3)[0].base is ps.shells(0.0)[0].base  # sorted once, then cached
 
 
 def test_tail_sum_refuses_divergent_or_oversized_requests(grid_sets):

@@ -87,7 +87,18 @@ def _digest(ps: cs.PointSet) -> str:
     return hashlib.sha256(ps.points.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(LATTICE_DIGESTS))
+def _stable_ids(first_keys):
+    """Case ids fixed per key, so that a new entry renames no case.
+
+    The keys in ``first_keys`` keep the positional ids ("case0", ...) they
+    were first run under; a key added later is named by ``str(key)``.
+    """
+    fixed = {key: f"case{i}" for i, key in enumerate(first_keys)}
+    return lambda case: fixed.get(case, str(case))
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_DIGESTS), ids=_stable_ids(
+    [(1, 7.5), (1, 12.0), (2, 7.5), (2, 12.0), (3, 7.5), (3, 12.0)]))
 def test_lattices_are_bit_identical_to_recorded_digests(case):
     d, R = case
     assert _digest(cs.gen_lattice(d, R)) == LATTICE_DIGESTS[case]
@@ -198,7 +209,10 @@ POISSON_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(POISSON_DIGESTS))
+@pytest.mark.parametrize("case", sorted(POISSON_DIGESTS), ids=_stable_ids(
+    [(1, 50.0, 0.7, 2), (2, 2.0, 2.0, 3), (2, 20.0, 1.0, 7),
+     (2, 25.0, 0.8, 10), (2, 30.0, 0.8, 9), (2, 50.0, 1.3, 4),
+     (3, 3.0, 3.0, 2), (3, 15.0, 1.5, 3), (3, 15.0, 1.5, 4)]))
 def test_poisson_samples_are_bit_identical_to_recorded_digests(case):
     d, R, r_min, seed = case
     ps = cs.gen_poisson_disk(d, R, r_min, seed=seed)
@@ -271,12 +285,21 @@ def test_radii_property_is_cached_norms():
     assert ps.radii is ps.radii  # cached
 
 
-def test_descending_radii_are_a_cached_read_only_sort():
-    ps = cs.gen_jittered(2, 10.0, 0.2, seed=1)
-    assert np.array_equal(ps.radii_desc, np.sort(ps.radii)[::-1])
-    assert ps.radii_desc is ps.radii_desc
-    assert not ps.radii_desc.flags.writeable
-    assert ps.radii_desc[::-1].flags.c_contiguous  # searchsorted reads it in place
+def test_shells_are_views_of_one_cached_read_only_unique():
+    # a jittered set (distinct radii) and a lattice (shells of many sites);
+    # cuts at 0, at a stored radius (closed), between two radii and past
+    # the largest radius
+    for ps in (cs.gen_jittered(2, 10.0, 0.2, seed=1), cs.gen_lattice(2, 10.0)):
+        u = np.unique(ps.radii)
+        base = ps.shells(0.0)[0].base
+        for r in (0.0, float(u[17]), float(u[5] + u[6]) / 2.0, float(u[-1]) + 1.0):
+            rho, cnt = ps.shells(r)
+            want_rho, want_cnt = np.unique(ps.radii[ps.radii >= r],
+                                           return_counts=True)
+            assert np.array_equal(rho, want_rho) and np.array_equal(cnt, want_cnt)
+            assert not rho.flags.writeable and not cnt.flags.writeable
+            assert rho.base is base  # sorted once, then cached
+        assert rho.size == cnt.size == 0
 
 
 # ------------------------------------------------------------ measure_radii
@@ -480,7 +503,11 @@ def test_count_annulus_matches_brute_force(grid_sets):
     for d, kind in ((1, "poisson"), (2, "jitter"), (3, "lattice")):
         ps, _ = grid_sets[0][(d, kind)]
         norms = np.linalg.norm(ps.points, axis=1)
-        for a, b in ((1.0, 4.0), (3.0, 17.5), (10.0, 11.0)):
+        rr = np.sort(norms)
+        # ends at stored radii and at region_radius pin both closed ends
+        ends = [(float(rr[17]), float(rr[k])) for k in (18, 60, rr.size // 2)]
+        ends += [(float(rr[17]), ps.region_radius), (0.0, ps.region_radius)]
+        for a, b in [(1.0, 4.0), (3.0, 17.5), (10.0, 11.0)] + ends:
             got = cs.count_annulus(ps, a, b)
             assert got.n_sites == int(((norms >= a) & (norms <= b)).sum())
 

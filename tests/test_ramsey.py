@@ -155,6 +155,9 @@ def test_coupling_validation():
             cs.evaluate_profile(ps, radii, alpha, 1.0, times, tol=0.1)
     with pytest.raises(ValueError, match="unless 2\\*alpha > dim"):
         cs.evaluate_profile(ps, radii, 1.0, 1.0, times, tol=0.1)  # 2*alpha = 2 < 3
+    for r in (-1.0, 4.5, math.nan):  # the cut must lie in [0, region_radius]
+        with pytest.raises(ValueError, match="need 0 <= r <= region_radius"):
+            cs.evaluate_profile(ps, radii, 2.0, r, times, tol=0.1)
 
 
 # -------------------------------------------------------------------- refusal
@@ -250,6 +253,12 @@ def test_uniform_scan_reports_descending_sups(line_large):
     (r1, s1), (r2, s2) = rep
     assert (r1, r2) == (10.0, 30.0)
     assert s2 <= s1
+    # an empty ladder is refused before any profile runs, with or without
+    # a threshold to compare its last entry against
+    with pytest.raises(ValueError, match="nonempty"):
+        cs.uniform_convergence_scan(ps, radii, 2.0, [], times, 0.1)
+    with pytest.raises(ValueError, match="nonempty"):
+        cs.uniform_convergence_scan(ps, radii, 2.0, [], times, 0.1, threshold=0.1)
 
 
 # ---------------------------------------------------------------- gaussian fit
