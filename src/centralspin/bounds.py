@@ -125,9 +125,11 @@ def integral_tail(alpha: float, d: int, r: float) -> float:
     This is integral_r^infinity t^(d-1) * t^(-alpha) dt, the d-dimensional
     radial volume integral of the coupling law; it is finite iff alpha > d.
     """
-    if alpha <= d:
+    if not alpha > d:
         raise ValueError("tail integral diverges unless alpha > d")
-    if r <= 0.0:
+    if not alpha < math.inf:
+        raise ValueError("alpha must be finite")
+    if not r > 0.0:
         raise ValueError("need r > 0")
     return r ** (d - alpha) / (alpha - d)
 

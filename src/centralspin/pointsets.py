@@ -131,8 +131,8 @@ class PointSet:
             raise ValueError(f"points must have shape (n, {self.dim}), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
-        if not (self.region_radius > 0):
-            raise ValueError("region_radius must be positive")
+        if not 0 < self.region_radius < math.inf:
+            raise ValueError("region_radius must be positive and finite")
         norms = np.linalg.norm(pts, axis=1)
         if pts.shape[0] and not (norms > 0).all():
             raise ValueError("the origin (central spin site) cannot be a bath point")
@@ -231,8 +231,9 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
     covering radius sqrt(d)/2 (deep holes at half-integer cell centers).
     """
     _check_dim(d)
-    if R_max < 1:
-        raise ValueError("R_max must be >= 1 (the ball would contain no lattice point)")
+    if not 1 <= R_max < math.inf:
+        raise ValueError("R_max must be finite and >= 1 (below 1 the ball "
+                         "contains no lattice point)")
     pts = np.concatenate(tuple(_probe_lattice(d, R_max, 1.0, 1.0)))
     meta = {"kind": "lattice", "dim": d, "R_max": float(R_max),
             "r_pack_structural": 0.5}
@@ -251,10 +252,10 @@ def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
     structural packing certificate recorded in meta.
     """
     _check_dim(d)
+    if not 1 <= R_max < math.inf:
+        raise ValueError("R_max must be finite and >= 1")
     if not (0 <= jitter < 0.5):
         raise ValueError("jitter must satisfy 0 <= jitter < 0.5")
-    if R_max < 1:
-        raise ValueError("R_max must be >= 1")
     margin = max(0.5, jitter * math.sqrt(d))
     pts = np.concatenate(tuple(_probe_lattice(d, R_max + margin, 1.0, 1.0)))
     z = pts.astype(np.int64)
@@ -444,8 +445,8 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     r_min/2 covers the bath together with the origin site.
     """
     _check_dim(d)
-    if not (0 < r_min <= R_max):
-        raise ValueError("need 0 < r_min <= R_max")
+    if not 0 < r_min <= R_max < math.inf:
+        raise ValueError("need 0 < r_min <= R_max < inf")
     fill_spacing = r_min / _FILL_DIVISOR[d]
 
     cell = r_min / math.sqrt(d)

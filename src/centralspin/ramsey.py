@@ -127,11 +127,11 @@ class RamseyProfile:
         if not (self.times.ndim == 1
                 and self.times.shape == self.values.shape == self.err.shape):
             raise ValueError("times/values/err must be 1-D arrays of equal length")
-        if np.any(np.diff(self.times) <= 0.0):
+        if not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly ascending")
-        if np.any(np.abs(self.values) > 1.0):
+        if not np.all(np.abs(self.values) <= 1.0):
             raise ValueError("|C(t)| <= 1 violated")
-        if np.any(self.err < 0.0):
+        if not np.all(self.err >= 0.0):
             raise ValueError("err must be nonnegative")
 
     @property
@@ -171,9 +171,6 @@ class UniformScanReport:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
 
 def normalization(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
@@ -406,7 +403,7 @@ def bloch_evolution(profile: RamseyProfile, v0) -> np.ndarray:
     v0 = np.asarray(v0, dtype=np.float64)
     if v0.shape != (3,):
         raise ValueError("v0 must be a 3-vector")
-    if np.linalg.norm(v0) > 1.0 + 1e-12:
+    if not np.linalg.norm(v0) <= 1.0 + 1e-12:
         raise ValueError("|v0| must be <= 1")
     out = np.empty((profile.times.size, 3), dtype=np.float64)
     out[:, 0] = profile.values * v0[0]

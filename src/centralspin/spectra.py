@@ -65,61 +65,63 @@ _TOL = 1e-12
 _CHAR_DEPTH = 50
 
 
+def _check_base(base: int) -> None:
+    if not (isinstance(base, int) and base >= 2):
+        raise ValueError("base must be an integer >= 2")
+
+
+def _min_depth(base: int, t: float) -> int:
+    """A depth K >= 1 with base^K >= |t|, so every dropped argument is < 1."""
+    at = abs(t)
+    if at < 1.0:
+        return 1
+    return max(1, int(math.ceil(math.log(at) / math.log(base))))
+
+
+def _log_tail(base: int, t: float, k: int) -> float:
+    """sum_{j > k} (t / base^j)^2, the bound on -log of the dropped factors."""
+    b = float(base)
+    return t * t / (b ** (2 * k) * (b * b - 1.0))
+
+
 @dataclass(frozen=True)
 class CosProduct:
     """Truncated product prod_{k=1..K} cos(t / base^k) with certified tail.
 
-    Exactly one of ``depth`` (fixed K) or ``tol`` (minimal K whose log-tail
-    bound stays below tol at evaluation time) must be given.
+    K is ``depth``, raised where needed so that every dropped argument is
+    below 1, which the tail bound requires.
     """
 
     base: int
-    depth: int | None = None
-    tol: float | None = None
+    depth: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.base, int) and self.base >= 2):
-            raise ValueError("base must be an integer >= 2")
-        if (self.depth is None) == (self.tol is None):
-            raise ValueError("give exactly one of depth or tol")
-        if self.depth is not None and self.depth < 1:
+        _check_base(self.base)
+        if not self.depth >= 1:
             raise ValueError("depth must be >= 1")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
-
-    def _depth_for(self, t: float) -> int:
-        b = self.base
-        # dropped arguments must be < 1: |t|/b^(K+1) < 1
-        k_min = 1
-        at = abs(t)
-        if at >= 1.0:
-            k_min = max(1, int(math.ceil(math.log(at) / math.log(b))))
-        if self.depth is not None:
-            k = max(self.depth, k_min)
-        else:
-            k = k_min
-            while self._log_tail(t, k) > self.tol:
-                k += 1
-        return k
-
-    def _log_tail(self, t: float, k: int) -> float:
-        b = float(self.base)
-        return t * t / (b ** (2 * k) * (b * b - 1.0))
 
     def evaluate(self, t: float) -> CertifiedValue:
         """Certified C(t); the interval always contains the infinite product."""
         t = float(t)
-        k = self._depth_for(t)
+        k = max(self.depth, _min_depth(self.base, t))
         args = t / np.float64(self.base) ** np.arange(1, k + 1)
         value = float(np.cos(args).prod())
-        tail = self._log_tail(t, k)
+        tail = _log_tail(self.base, t, k)
         err = min(2.0, abs(value) * math.expm1(tail))
         return CertifiedValue(value=value, err=err)
 
 
 def cos_product(base: int, t: float, tol: float) -> CertifiedValue:
-    """C(t) = prod cos(t / base^k) truncated when the log-tail bound <= tol."""
-    return CosProduct(base, tol=tol).evaluate(t)
+    """C(t) = prod cos(t / base^k) truncated at the least depth whose
+    log-tail bound is <= tol."""
+    _check_base(base)
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0")
+    t = float(t)
+    k = _min_depth(base, t)
+    while _log_tail(base, t, k) > tol:
+        k += 1
+    return CosProduct(base, depth=k).evaluate(t)
 
 
 def recursion_check(base: int, t: float) -> bool:

@@ -50,6 +50,13 @@ def test_integral_tail_domain_errors():
         cs.integral_tail(2.0, 1, 0.0)  # empty tail domain
 
 
+@pytest.mark.parametrize("alpha, r", [(math.nan, 1.0), (3.0, math.nan),
+                                      (math.inf, 0.5)])
+def test_integral_tail_refuses_non_finite_inputs(alpha, r):
+    with pytest.raises(ValueError):
+        cs.integral_tail(alpha, 1, r)
+
+
 # ------------------------------------------------------------ delone_tail_sum
 
 def test_line_tail_sum_brackets_the_zeta_values():

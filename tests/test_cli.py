@@ -151,6 +151,16 @@ def test_bad_arguments_exit_two(tmp_path, monkeypatch, capsys):
         assert not (tmp_path / "x.csv").exists(), argv
 
 
+@pytest.mark.parametrize("sub", ["points", "bounds", "ramsey"])
+@pytest.mark.parametrize("rmax", ["inf", "nan"])
+def test_non_finite_region_exits_two(sub, rmax, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([sub, "--rmax", rmax, "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "R_max" in err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bounds", "--dim", "3", "--alpha", "2", "--rmax", "40"],
      "tail sum diverges unless alpha > d"),

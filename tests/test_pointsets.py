@@ -270,6 +270,23 @@ def test_point_set_rejects_origin_duplicates_and_outliers():
         cs.PointSet(2, pts, 10.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("make", [
+    lambda R: cs.gen_lattice(1, R),
+    lambda R: cs.gen_jittered(1, R, 0.1, 3),
+    lambda R: cs.gen_poisson_disk(1, R, 1.0, 3),
+], ids=["lattice", "jittered", "poisson"])
+def test_generators_refuse_a_non_finite_region(make, bad):
+    with pytest.raises(ValueError, match="R_max"):
+        make(bad)
+
+
+def test_point_set_refuses_an_infinite_region():
+    # an infinite region would make every tail sum over it a finite sum
+    with pytest.raises(ValueError, match="region_radius"):
+        cs.PointSet(1, [[1.0], [2.0]], math.inf, meta={"r_pack_structural": 0.5})
+
+
 @pytest.mark.parametrize("field", ["r_pack", "r_cover", "probe_resolution"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_delone_radii_refuse_non_finite_fields(field, bad):

@@ -291,6 +291,21 @@ def test_bloch_rows_scale_the_transverse_components():
         cs.bloch_evolution(prof, (1.0, 1.0, 0.0))  # |v0| > 1
 
 
+def test_bloch_refuses_a_nan_vector():
+    prof = synthetic_profile([0.0, 1.0], [1.0, 0.5])
+    with pytest.raises(ValueError, match="v0"):
+        cs.bloch_evolution(prof, (math.nan, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("field, message", [("values", "<= 1 violated"),
+                                            ("err", "nonnegative")])
+def test_profile_refuses_nan_values_and_errors(field, message):
+    arrays = {"values": [1.0, 0.5], "err": [0.0, 0.0]}
+    arrays[field][1] = math.nan
+    with pytest.raises(ValueError, match=message):
+        synthetic_profile([0.0, 1.0], arrays["values"], arrays["err"])
+
+
 # ---------------------------------------------------------------- properties
 
 @given(alpha=st.floats(0.8, 3.0), r=st.floats(5.0, 20.0))

@@ -1,5 +1,6 @@
 """Self-similar cosine products, Cantor function, and digit maps."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -38,6 +39,32 @@ def test_product_certificate_brackets_deeper_truncations():
 def test_product_at_zero_is_exact_one():
     got = cs.cos_product(5, 0.0, 1e-12)
     assert got.value == 1.0 and got.err == 0.0
+
+
+# sha256 of every (value, err) pair below, as float64 bytes in loop order,
+# recorded at the commit before CosProduct lost its ``tol`` option.
+COS_PRODUCT_DIGEST = \
+    "8ec0623b987d8ef757218aaef310942507e06d6aa6fee8490a378f3a5e8c4225"
+
+
+def test_products_are_bit_identical_to_recorded_digest():
+    times = [*np.linspace(-60.0, 60.0, 1201).tolist(),
+             0.0, -0.0, math.pi, 3 ** 5 * math.pi, 1e6]
+    h = hashlib.sha256()
+    for base in range(2, 10):
+        for tol in (1e-14, 1e-13, 1e-12, 1e-8, 1e-3, 0.5):
+            for t in times:
+                c = cs.cos_product(base, t, tol)
+                h.update(np.array([c.value, c.err]).tobytes())
+        for depth in (1, 5, 25, 40, 60):
+            prod = cs.CosProduct(base, depth=depth)
+            for t in times:
+                c = prod.evaluate(t)
+                h.update(np.array([c.value, c.err]).tobytes())
+    for base in (3, 4, 5):
+        for i, v in cs.persistent_oscillation(base, 12):
+            h.update(np.array([float(i), v]).tobytes())
+    assert h.hexdigest() == COS_PRODUCT_DIGEST
 
 
 @given(base=st.integers(2, 9), t=st.floats(-30.0, 30.0))
