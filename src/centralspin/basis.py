@@ -268,33 +268,26 @@ def l2_cauchy_check(A, N: int, M: int) -> float:
     """||phi_M - phi_N||_2 for phi_K = sum_{k<=K} A_k theta_k, two ways.
 
     Orthonormality gives the closed form sqrt(sum_{N<k<=M} A_k^2); the same
-    number is recomputed as an honest piecewise integral (dense cells up to
-    level 20, exact implicit cross terms above) and the two must agree
-    within 1e-12.  A is the coupling prefix A_1..A_M (index k at A[k-1]);
-    N == M returns 0.  Raises AssertionError on disagreement.
+    number is recomputed as an honest piecewise integral over the 2^M dense
+    cells of level M, and the two must agree within 1e-12.  Levels are
+    capped at M <= 20, which bounds those cells at 2^20.  A is the coupling
+    prefix A_1..A_M (index k at A[k-1]); N == M returns 0.  Raises
+    AssertionError on disagreement.
     """
-    if not (0 <= N <= M <= 30):
-        raise ValueError("need 0 <= N <= M <= 30")
+    if not (0 <= N <= M <= 20):
+        raise ValueError("need 0 <= N <= M <= 20 (the level cap)")
     if M == N:
         return 0.0
     a = [float(A[k - 1]) for k in range(N + 1, M + 1)]
     if len(a) != M - N:
         raise ValueError("coupling prefix shorter than M")
     closed = math.sqrt(math.fsum(x * x for x in a))
-    if M <= 20:
-        j = np.arange(1 << M, dtype=np.int64)
-        diff = np.zeros(1 << M, dtype=np.float64)
-        for k in range(N + 1, M + 1):
-            bit = (j >> (M - k)) & 1
-            diff += a[k - N - 1] * (2 * bit - 1)
-        integral = math.sqrt(_fsum_chunked(diff ** 2) / (1 << M))
-    else:
-        # expand the square; cross terms are exact implicit inner products
-        acc = math.fsum(x * x for x in a)
-        cross = math.fsum(
-            2.0 * a[i] * a[jx] * inner_product({N + 1 + i}, {N + 1 + jx})
-            for i in range(len(a)) for jx in range(i + 1, len(a)))
-        integral = math.sqrt(acc + cross)
+    j = np.arange(1 << M, dtype=np.int64)
+    diff = np.zeros(1 << M, dtype=np.float64)
+    for k in range(N + 1, M + 1):
+        bit = (j >> (M - k)) & 1
+        diff += a[k - N - 1] * (2 * bit - 1)
+    integral = math.sqrt(_fsum_chunked(diff ** 2) / (1 << M))
     if abs(closed - integral) > _TOL:
         raise AssertionError(
             f"closed form {closed!r} and piecewise integral {integral!r} "

@@ -51,7 +51,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PointSet",
     "DeloneRadii",
-    "AnnulusCount",
     "AnnulusBoundsReport",
     "gen_lattice",
     "gen_jittered",
@@ -196,15 +195,6 @@ class DeloneRadii:
     @property
     def r_cover_upper(self) -> float:
         return self.r_cover + self.probe_resolution
-
-
-@dataclass(frozen=True)
-class AnnulusCount:
-    """Number of points with a <= |p| <= b (closed annulus)."""
-
-    a: float
-    b: float
-    n_sites: int
 
 
 @dataclass(frozen=True)
@@ -640,35 +630,25 @@ def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
             return best, 0.0
         h /= 2.0
         hd /= 2.0
-        # count, then fill an exact-size array: a search that can skip
-        # nothing (a lattice) then holds one copy of the children, no more
-        args = (centers[keep], sites[nearest[keep]], child, h, hd, R_dom, best)
-        centers = np.empty((sum(int(np.count_nonzero(sel))
-                                for _, sel in _bnb_children(*args)), d))
+        # one pass writes the kept children from row 0 of an array sized
+        # for all of them; a search that can skip nothing (a lattice) fills it
+        parents, near = centers[keep], sites[nearest[keep]]
+        centers = np.empty((parents.shape[0] * child.shape[0], d))
         n = 0
-        for c, sel in _bnb_children(*args):
+        for lo in range(0, parents.shape[0], _BNB_BLOCK):
+            c = [(x[:, None] + y * (h / 2.0)).ravel()
+                 for x, y in zip(parents[lo:lo + _BNB_BLOCK].T, child.T)]
+            # the squared norm adds the axes in order, as .sum(axis=1) does
+            n2 = sum(x ** 2 for x in c)
+            to_site2 = sum((x - np.repeat(y, child.shape[0])) ** 2
+                           for x, y in zip(c, near[lo:lo + _BNB_BLOCK].T))
+            sel = ((n2 <= (R_dom + hd) ** 2)
+                   & (np.sqrt(to_site2) * (1.0 + _KD_PAD) + hd > best))
             k = int(np.count_nonzero(sel))
             for j, x in enumerate(c):
                 centers[n:n + k, j] = x[sel]
             n += k
-
-
-def _bnb_children(parents, near, child, h, hd, R_dom, best):
-    """Children of each block of parents, and which of them to query.
-
-    Yields (c, sel): the children's coordinates axis by axis, in (parent,
-    child) order, and the mask of those inside the padded ball that the
-    parent's nearest site does not already bound (see _covering_bnb).  The
-    squared norm adds the axes in order, as ``.sum(axis=1)`` does.
-    """
-    for lo in range(0, parents.shape[0], _BNB_BLOCK):
-        c = [(x[:, None] + y * (h / 2.0)).ravel()
-             for x, y in zip(parents[lo:lo + _BNB_BLOCK].T, child.T)]
-        n2 = sum(x ** 2 for x in c)
-        to_site2 = sum((x - np.repeat(y, child.shape[0])) ** 2
-                       for x, y in zip(c, near[lo:lo + _BNB_BLOCK].T))
-        yield c, ((n2 <= (R_dom + hd) ** 2)
-                  & (np.sqrt(to_site2) * (1.0 + _KD_PAD) + hd > best))
+        centers = centers[:n]
 
 
 def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
@@ -722,15 +702,14 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
 # ---------------------------------------------------------------------------
 
 
-def count_annulus(ps: PointSet, a: float, b: float) -> AnnulusCount:
+def count_annulus(ps: PointSet, a: float, b: float) -> int:
     """Count points with a <= |p| <= b (closed): ``ps.shells(a)`` up to b."""
     if not (0 <= a < b):
         raise ValueError("need 0 <= a < b")
     if b > ps.region_radius:
         raise ValueError("b exceeds region_radius: the set is incomplete there")
     rho, cnt = ps.shells(a)
-    n = int(cnt[:np.searchsorted(rho, b, side="right")].sum())
-    return AnnulusCount(a=float(a), b=float(b), n_sites=n)
+    return int(cnt[:np.searchsorted(rho, b, side="right")].sum())
 
 
 def _certified_r_pack(ps: PointSet, radii: DeloneRadii) -> float:
@@ -765,7 +744,7 @@ def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,
     if a < rp:
         raise ValueError("lower annulus radius must satisfy a >= r_pack")
     rc = radii.r_cover_upper
-    n = count_annulus(ps, a, b).n_sites
+    n = count_annulus(ps, a, b)
     lower = max(0.0, max(0.0, b / rc - 1.0) ** d - (a / rc + 1.0) ** d)
     upper = (b / rp + 1.0) ** d - max(0.0, a / rp - 1.0) ** d
     holds = lower <= n <= upper

@@ -51,7 +51,6 @@ __all__ = [
     "recursion_check",
     "persistent_oscillation",
     "cantor_function",
-    "d_map",
     "d_map_exact",
     "char_function_check",
 ]
@@ -72,6 +71,8 @@ def _check_base(base: int) -> None:
 
 def _min_depth(base: int, t: float) -> int:
     """A depth K >= 1 with base^K >= |t|, so every dropped argument is < 1."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     at = abs(t)
     if at < 1.0:
         return 1
@@ -232,11 +233,6 @@ def d_map_exact(x: float | Fraction, depth: int) -> Fraction:
     return acc + Fraction(1, 2)
 
 
-def d_map(x: float, depth: int) -> float:
-    """Float D(x) (error <= 3^-depth / 2 from truncation, plus one rounding)."""
-    return float(d_map_exact(x, depth))
-
-
 @dataclass(frozen=True)
 class CharFunctionReport:
     """Empirical characteristic function of D(uniform) vs its closed form."""
@@ -263,7 +259,7 @@ def char_function_check(n_samples: int, t_list, seed: int) -> CharFunctionReport
     if n_samples < 10 ** 4:
         raise ValueError("need n_samples >= 10^4 for the 4/sqrt(n) tolerance")
     t_arr = np.asarray(t_list, dtype=np.float64).ravel()
-    if np.any(np.abs(t_arr) > 50.0):
+    if not np.all(np.abs(t_arr) <= 50.0):
         raise ValueError("|t| must be <= 50")
     idx = np.arange(n_samples, dtype=np.int64)
     mant = (counter_uniform_open(seed, idx) * 2.0 ** 53).astype(np.uint64)

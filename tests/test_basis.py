@@ -152,3 +152,5 @@ def test_cauchy_rejects_bad_ranges():
         cs.l2_cauchy_check([1.0], 2, 1)  # M < N
     with pytest.raises(ValueError):
         cs.l2_cauchy_check([1.0, 2.0], 1, 31)  # beyond the level cap
+    with pytest.raises(ValueError, match="<= 20"):
+        cs.l2_cauchy_check([1.0] * 21, 0, 21)  # one level past the cap

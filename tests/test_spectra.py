@@ -41,6 +41,18 @@ def test_product_at_zero_is_exact_one():
     assert got.value == 1.0 and got.err == 0.0
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_cos_product_refuses_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        cs.cos_product(3, t, 1e-12)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_fixed_depth_product_refuses_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        cs.CosProduct(3, 5).evaluate(t)
+
+
 # sha256 of every (value, err) pair below, as float64 bytes in loop order,
 # recorded at the commit before CosProduct lost its ``tol`` option.
 COS_PRODUCT_DIGEST = \
@@ -142,11 +154,11 @@ def test_digit_map_exact_endpoint_behaviour():
 
 def test_digit_map_rejects_shallow_dyadics():
     with pytest.raises(ValueError, match="dyadic"):
-        cs.d_map(0.5, 10)
+        cs.d_map_exact(0.5, 10)
     with pytest.raises(ValueError, match="dyadic"):
-        cs.d_map(0.75, 10)
+        cs.d_map_exact(0.75, 10)
     # a dyadic deeper than the inspected digits is fine
-    assert 0.0 < cs.d_map(1.0 / 2 ** 60, 50) < 1e-15
+    assert 0.0 < float(cs.d_map_exact(1.0 / 2 ** 60, 50)) < 1e-15
 
 
 def test_digit_map_image_avoids_removed_thirds():
@@ -186,3 +198,8 @@ def test_char_function_monte_carlo_within_tolerance():
 def test_char_function_validates_sample_count():
     with pytest.raises(ValueError):
         cs.char_function_check(100, [1.0], seed=0)
+
+
+def test_char_function_refuses_nan_time_before_sampling():
+    with pytest.raises(ValueError, match=r"\|t\| must be <= 50"):
+        cs.char_function_check(10 ** 4, [1.0, math.nan], seed=0)
