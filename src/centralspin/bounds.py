@@ -184,17 +184,16 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
 
 def _required_r_max(ps: PointSet, radii: DeloneRadii, alpha: float,
                     target_tail: float) -> float:
-    """Window radius making the S2 tail certificate <= target_tail.
+    """Window radius making the tail certificate of S(r) <= target_tail.
 
-    Inverts the tail bound of ``delone_tail_sum`` at exponent 2 alpha with
-    the same packing radius, so the suggested radius meets the bound that
-    refused.
+    Inverts the tail bound of ``delone_tail_sum`` at the same exponent and
+    packing radius, so the suggested radius meets the bound that refused.
     """
     d = ps.dim
     rp = _certified_r_pack(ps, radii)
-    # invert tail(R) = 3^d d / rp^d * T(2a, d, R - rp) = target
+    # invert tail(R) = 3^d d / rp^d * T(alpha, d, R - rp) = target
     t_int = target_tail * rp ** d / ((3.0 ** d) * d)
-    return rp + ((2.0 * alpha - d) * t_int) ** (1.0 / (d - 2.0 * alpha))
+    return rp + ((alpha - d) * t_int) ** (1.0 / (d - alpha))
 
 
 def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float,
@@ -239,8 +238,10 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
     correction bound at every alpha > 1.  ``holds`` records certified
     containment: integral - correction_bound <= seq <= integral.
     """
-    if alpha <= 1.0:
+    if not alpha > 1.0:  # also refuses nan
         raise ValueError("sum diverges unless alpha > 1")
+    if not alpha < math.inf:
+        raise ValueError("alpha must be finite")
     if M < 2:
         raise ValueError("need M >= 2 so the correction bound is usable")
     integral = (M - 0.5) ** (1.0 - alpha) / (alpha - 1.0)

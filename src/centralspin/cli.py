@@ -62,6 +62,7 @@ _RAMSEY_RMAX = {1: 1.0e6, 2: 200.0, 3: 60.0}
 
 
 def _build_set(args) -> tuple[pointsets.PointSet, pointsets.DeloneRadii]:
+    pointsets._check_margin(args.margin)
     if args.rmax is None:
         args.rmax = _RAMSEY_RMAX[args.dim]
     if args.set == "lattice":
@@ -136,7 +137,8 @@ def _cmd_ramsey(args) -> int:
                [prof.times, prof.values, prof.err, prof.gaussian,
                 diag.bound_rhs])
     _write_json(args.out + ".json", args, s2=asdict(prof.s2),
-                s4=asdict(prof.s4), sup_dist=diag.sup_dist,
+                s4=asdict(prof.s4),
+                sup_dist=ramsey.gaussian_sup_distance(prof),
                 compact_bound_ok=diag.envelope_ok)
     return 0
 

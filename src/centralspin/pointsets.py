@@ -651,6 +651,12 @@ def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
         centers = centers[:n]
 
 
+def _check_margin(margin: float) -> None:
+    """Refuse a negative or nan margin; the CLI calls it before any set."""
+    if not margin >= 0.0:
+        raise ValueError("margin must be >= 0")
+
+
 def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     """Measure the empirical packing and covering radii of a point set.
 
@@ -672,8 +678,7 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     geometry.  (Without this, the 1-D integer lattice would report
     r_cover = 1 from the probe at the origin instead of its true 1/2.)
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
+    _check_margin(margin)
     R_dom = ps.region_radius - margin
     if R_dom <= 0:
         raise ValueError("margin leaves no probe domain")

@@ -61,10 +61,10 @@ nondecreasing in |t|.
    gamma_n) and the rounding of Rbar and of the bound itself; a shift d in
    the exponent moves a value of modulus <= 1 by at most expm1(|d|).
 
-Left outside err, as before the split: the rounding of the near arguments
-u t and the libm error of cos, log and the final exp, of order
-(1 + u|t|) eps per near site on the value scale, and underflow in the
-scaled powers, which shifts F by less than 2^-1073 per far site.
+Left outside err: the rounding of the near arguments u t and the libm
+error of cos, log and the final exp, of order (1 + u|t|) eps per near site
+on the value scale, and underflow in the scaled powers, which shifts F by
+less than 2^-1073 per far site.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ __all__ = [
     "RamseyProfile",
     "GaussianDiag",
     "UniformScanReport",
-    "normalization",
     "evaluate_profile",
     "gaussian_sup_distance",
     "compact_bound_check",
@@ -144,13 +143,8 @@ class RamseyProfile:
 class GaussianDiag:
     """Pointwise compact-bound diagnostic against exp(-t^2/2)."""
 
-    sup_dist: float
     bound_rhs: np.ndarray = field(repr=False)
     envelope_ok: bool
-
-    def __post_init__(self) -> None:
-        if self.sup_dist < 0.0:
-            raise ValueError("sup_dist must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -158,27 +152,17 @@ class UniformScanReport:
     """sup-distances along an ascending ladder of inner cutoffs.
 
     Iterates as a sequence of (r, sup_dist) pairs; ``non_increasing`` allows
-    slack 2*tol between consecutive entries, ``final_below`` compares the
-    last entry against the caller's threshold (None when none was given).
+    slack 2*tol between consecutive entries.
     """
 
     entries: tuple[tuple[float, float], ...]
     non_increasing: bool
-    final_below: bool | None
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def normalization(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
-                  power: int) -> CertifiedValue:
-    """Certified S_power = sum_{rho >= r} A(rho)^power, power in {2, 4}."""
-    if power not in (2, 4):
-        raise ValueError("power must be 2 or 4")
-    return delone_tail_sum(ps, radii, power * alpha, r)
 
 
 def _far_series(u: np.ndarray, counts: np.ndarray, at: np.ndarray,
@@ -260,8 +244,8 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a nonempty finite 1-D grid")
-    s2 = normalization(ps, radii, alpha, r, 2)
-    s4 = normalization(ps, radii, alpha, r, 4)
+    s2 = delone_tail_sum(ps, radii, 2 * alpha, r)
+    s4 = delone_tail_sum(ps, radii, 4 * alpha, r)
     lam = 1.0 / math.sqrt(s2.value)
     t_max = float(np.max(np.abs(times)))
 
@@ -275,7 +259,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     err_at_max = min(2.0, math.expm1(t_max * t_max * s_tail))
     if err_at_max > tol:
         tail_target = math.log1p(tol) * s2.value / (t_max * t_max)
-        need = _required_r_max(ps, radii, alpha, tail_target)
+        need = _required_r_max(ps, radii, 2 * alpha, tail_target)
         raise ValueError(
             f"truncation certificate {err_at_max:.3g} exceeds tol={tol:g} "
             f"at t={t_max:g}; need region_radius >= {need:.6g}")
@@ -308,7 +292,7 @@ def compact_bound_check(profile: RamseyProfile) -> GaussianDiag:
     ratio = (profile.s4.value + profile.s4.err) / (profile.s2.value - profile.s2.err) ** 2
     rhs = t ** 4 / 12.0 * ratio
     ok = bool(np.all(lhs <= rhs + profile.err))
-    return GaussianDiag(sup_dist=float(np.max(lhs)), bound_rhs=rhs, envelope_ok=ok)
+    return GaussianDiag(bound_rhs=rhs, envelope_ok=ok)
 
 
 def decay_envelope_check(profile: RamseyProfile, k: float, T: float) -> bool:
@@ -344,8 +328,7 @@ def calibrate_envelope(profile: RamseyProfile, T: float) -> float:
 
 
 def uniform_convergence_scan(ps: PointSet, radii: DeloneRadii, alpha: float,
-                             r_list, times: np.ndarray, tol: float,
-                             *, threshold: float | None = None) -> UniformScanReport:
+                             r_list, times: np.ndarray, tol: float) -> UniformScanReport:
     """sup-distance to the Gaussian along an ascending ladder of cutoffs."""
     r_list = [float(r) for r in r_list]
     if not r_list or any(b <= a for a, b in zip(r_list, r_list[1:])):
@@ -356,9 +339,7 @@ def uniform_convergence_scan(ps: PointSet, radii: DeloneRadii, alpha: float,
         entries.append((r, gaussian_sup_distance(prof)))
     sups = [s for _, s in entries]
     non_inc = all(b <= a + 2.0 * tol for a, b in zip(sups, sups[1:]))
-    final_below = None if threshold is None else bool(sups[-1] <= threshold)
-    return UniformScanReport(entries=tuple(entries), non_increasing=non_inc,
-                             final_below=final_below)
+    return UniformScanReport(entries=tuple(entries), non_increasing=non_inc)
 
 
 def fit_gaussian(profile: RamseyProfile) -> float:

@@ -21,15 +21,33 @@ prod cos(t/3^k) is the characteristic function of D(uniform).
 
 Conventions
 -----------
-Products are truncated at depth K with the geometric log-tail bound
-sum_{k > K} (t/b^k)^2 = t^2 / (b^(2K) (b^2 - 1)), valid once every dropped
-argument is below 1 (-log cos x <= x^2 there); the certificate is
-err = |value| * (e^tail - 1), clamped to [0, 2].  Digit manipulations for
-the Cantor function and D-map run in exact rational arithmetic
-(fractions.Fraction), so the only float rounding is in the final cast;
-Monte-Carlo sampling uses the counter generator keyed on (seed, index) and
-draws with an odd 53-bit mantissa, so no sample is ever a dyadic rational
-of level <= 52 and theta digits are exact bit extractions.
+A product is truncated at depth K, with base^K >= |t| and base^K below
+2^1023, and evaluated at the float t.  With u = 2^-53 and n the number of
+factors that are not exactly 1.0,
+
+    |value - C(t)| <= err = min(2, s + (|value| + s) expm1(tail)),
+    s = 4u |t| / (b - 1) + n u / (1 - n u) |value|,
+
+two being the trivial bound; err = 0 at t = 0.  Each a_k = fl(t / fl(b^k))
+is within 3u / (1 - 2u) of t / b^k relatively (pow within 1 ulp, the
+quotient within half an ulp); as |cos a - cos a'| <= |a - a'| and every
+factor lies in [-1, 1], the kept product moves by at most 3u/(1 - 2u) |t| /
+(b - 1), and 4u also covers the rounding of that term.  Products by 1.0 are
+exact, so at most n - 1 products round, in any order.  Every dropped
+argument is below 1, where -log cos x <= x^2, so the dropped factors lie in
+[e^-tail, 1] with tail = sum_{k > K} (t/b^k)^2 = (t/b^K)^2 / (b^2 - 1), and
+move the kept product, of modulus <= |value| + s, by at most (|value| + s)
+expm1(tail); the bound's slack (-log cos 1 = 0.616) absorbs the rounding of
+tail and of err.  Where 2^1023 caps K below what |t| needs, |t| > 2^1023 / b,
+so s >= 2.  Left outside err: the libm error of cos and pow (assumptions
+about numpy's kernels) and underflow.  Bases above 2^53 are refused, so b
+is exact.
+
+Digit manipulations for the Cantor function and D-map run in exact
+rational arithmetic (fractions.Fraction), so the only float rounding is in
+the final cast; Monte-Carlo sampling uses the counter generator keyed on
+(seed, index) and draws with an odd 53-bit mantissa, so no sample is ever a
+dyadic rational of level <= 52 and theta digits are exact bit extractions.
 """
 
 from __future__ import annotations
@@ -60,13 +78,14 @@ __all__ = [
 L_ORACLE = 0.46627457895504917055732477549818
 # truncation tolerance and float slack of the identity checks
 _TOL = 1e-12
+_EPS = 2.0 ** -53  # unit roundoff
 # binary digits of each sample that char_function_check maps through D
 _CHAR_DEPTH = 50
 
 
 def _check_base(base: int) -> None:
-    if not (isinstance(base, int) and base >= 2):
-        raise ValueError("base must be an integer >= 2")
+    if not (isinstance(base, int) and 2 <= base <= 2 ** 53):
+        raise ValueError("base must be an integer in [2, 2^53]")
 
 
 def _min_depth(base: int, t: float) -> int:
@@ -79,18 +98,25 @@ def _min_depth(base: int, t: float) -> int:
     return max(1, int(math.ceil(math.log(at) / math.log(base))))
 
 
+def _max_depth(base: int) -> int:
+    """The deepest K with base^K below 2^1023 (up to the rounding of log2)."""
+    return int(1023 / math.log2(base))
+
+
 def _log_tail(base: int, t: float, k: int) -> float:
     """sum_{j > k} (t / base^j)^2, the bound on -log of the dropped factors."""
     b = float(base)
-    return t * t / (b ** (2 * k) * (b * b - 1.0))
+    q = t / b ** k
+    return q * q / (b * b - 1.0)
 
 
 @dataclass(frozen=True)
 class CosProduct:
-    """Truncated product prod_{k=1..K} cos(t / base^k) with certified tail.
+    """Truncated product prod_{k=1..K} cos(t / base^k) with certified error.
 
     K is ``depth``, raised where needed so that every dropped argument is
-    below 1, which the tail bound requires.
+    below 1, which the tail bound requires, and lowered to at most the
+    deepest power of ``base`` below 2^1023.
     """
 
     base: int
@@ -102,25 +128,30 @@ class CosProduct:
             raise ValueError("depth must be >= 1")
 
     def evaluate(self, t: float) -> CertifiedValue:
-        """Certified C(t); the interval always contains the infinite product."""
+        """Certified C(t) by the module's error chain."""
         t = float(t)
-        k = max(self.depth, _min_depth(self.base, t))
+        k = min(max(self.depth, _min_depth(self.base, t)),
+                _max_depth(self.base))
         args = t / np.float64(self.base) ** np.arange(1, k + 1)
-        value = float(np.cos(args).prod())
+        factors = np.cos(args)
+        value = float(factors.prod())
+        n = int(np.count_nonzero(factors != 1.0))
+        s = (4.0 * _EPS * abs(t) / (self.base - 1.0)
+             + n * _EPS / (1.0 - n * _EPS) * abs(value))
         tail = _log_tail(self.base, t, k)
-        err = min(2.0, abs(value) * math.expm1(tail))
+        err = min(2.0, s + (abs(value) + s) * math.expm1(tail))
         return CertifiedValue(value=value, err=err)
 
 
 def cos_product(base: int, t: float, tol: float) -> CertifiedValue:
     """C(t) = prod cos(t / base^k) truncated at the least depth whose
-    log-tail bound is <= tol."""
+    log-tail bound is <= tol, or at the deepest power below 2^1023."""
     _check_base(base)
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
     t = float(t)
-    k = _min_depth(base, t)
-    while _log_tail(base, t, k) > tol:
+    k, k_max = _min_depth(base, t), _max_depth(base)
+    while k < k_max and _log_tail(base, t, k) > tol:
         k += 1
     return CosProduct(base, depth=k).evaluate(t)
 

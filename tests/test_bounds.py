@@ -187,6 +187,11 @@ def test_midpoint_comparison_rejects_divergent_exponent():
         cs.seq_sum_integral_check(1.0, 5)
     with pytest.raises(ValueError):
         cs.seq_sum_integral_check(2.0, 1)
+    # non-finite exponents are refused by name, before any sum
+    with pytest.raises(ValueError, match="sum diverges unless alpha > 1"):
+        cs.seq_sum_integral_check(math.nan, 5)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        cs.seq_sum_integral_check(math.inf, 5)
 
 
 # ------------------------------------------------------------ asymptotic_ratio

@@ -169,8 +169,11 @@ def test_non_finite_region_exits_two(sub, rmax, tmp_path, monkeypatch, capsys):
      "normalization diverges unless 2*alpha > dim"),
     (["ramsey", "--alpha", "inf"], "alpha must be positive and finite"),
     (["ramsey", "--dim", "2", "--tol", "0"], "tol must be > 0"),
+    (["points", "--margin", "nan"], "margin must be >= 0"),
+    (["bounds", "--margin", "-1"], "margin must be >= 0"),
 ], ids=["bounds-d3-alpha2", "bounds-alpha-nan", "ramsey-d3-alpha1",
-        "ramsey-alpha-inf", "ramsey-tol0"])
+        "ramsey-alpha-inf", "ramsey-tol0", "points-margin-nan",
+        "bounds-margin-negative"])
 def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
                                                         monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
@@ -219,7 +222,9 @@ def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
 
 
 # sha256 of every file that each command writes, recorded from a checkout of
-# the commit before the CLI's sidecars and reports shared one writer
+# the commit before the CLI's sidecars and reports shared one writer; sp.csv
+# re-recorded when its err column began to cover argument and product
+# rounding (its t and C columns hash as before)
 ARTIFACT_DIGESTS = [
     (["points", "--dim", "2", "--set", "poisson", "--rmax", "15", "--seed", "7",
       "--out", "pts.csv"],
@@ -241,7 +246,7 @@ ARTIFACT_DIGESTS = [
      {"p2.csv": "e43515ad5d54ae325dd21baf934621c884a38ec282bd3bf44821b773b60673c9",
       "p2.csv.json": "e593eba4ecaf6528c451dfb74a3fd42f2d0c6a21d7898f6039ebb9208a41aa7e"}),
     (["spectra", "product", "--base", "3", "--tmax", "10", "--out", "sp.csv"],
-     {"sp.csv": "2a1ec7a5a2be70fc78458a3f1c58b02911c5ac02b7b24e095ceaac41ce5171c2",
+     {"sp.csv": "4159e1ac344e835edbf8207ec284f22185606d55f52c3c328fae51d7955f64a9",
       "sp.csv.json": "759d09b10efa6e7a6779029b3042c0439dc974b66f0b056700814a46d8fa13fd"}),
     (["spectra", "cantor", "--n", "100", "--depth", "40", "--seed", "1",
       "--out", "ca.csv"],

@@ -287,6 +287,12 @@ def test_point_set_refuses_an_infinite_region():
         cs.PointSet(1, [[1.0], [2.0]], math.inf, meta={"r_pack_structural": 0.5})
 
 
+@pytest.mark.parametrize("margin", [-1.0, math.nan])
+def test_measure_radii_refuses_a_negative_or_nan_margin(margin):
+    with pytest.raises(ValueError, match="margin must be >= 0"):
+        cs.measure_radii(cs.gen_lattice(2, 10.0), margin)
+
+
 @pytest.mark.parametrize("field", ["r_pack", "r_cover", "probe_resolution"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_delone_radii_refuse_non_finite_fields(field, bad):

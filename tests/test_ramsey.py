@@ -127,21 +127,12 @@ def test_profile_within_far_bound_of_mpmath_product():
 
 # ------------------------------------------------------------- normalization
 
-def test_normalization_powers_match_tail_sums(line_large):
+def test_profile_normalizations_are_the_tail_sums_at_two_and_four_alpha(line_large):
     ps, radii = line_large
-    s2 = cs.normalization(ps, radii, 1.0, 10.0, 2)
-    direct = cs.delone_tail_sum(ps, radii, 2.0, 10.0)
-    assert s2.value == direct.value and s2.err == direct.err
-    s4 = cs.normalization(ps, radii, 1.0, 10.0, 4)
-    assert s4.value == cs.delone_tail_sum(ps, radii, 4.0, 10.0).value
-    with pytest.raises(ValueError):
-        cs.normalization(ps, radii, 1.0, 10.0, 3)
-
-
-def test_normalization_requires_convergent_exponent(grid_sets):
-    ps, radii = grid_sets[0][(2, "lattice")]
-    with pytest.raises(ValueError):
-        cs.normalization(ps, radii, 0.9, 10.0, 2)  # 2*alpha < d
+    prof = cs.evaluate_profile(ps, radii, 1.5, 10.0, np.linspace(0.0, 1.0, 11),
+                               tol=0.05)
+    assert prof.s2 == cs.delone_tail_sum(ps, radii, 3.0, 10.0)
+    assert prof.s4 == cs.delone_tail_sum(ps, radii, 6.0, 10.0)
 
 
 # ------------------------------------------------------------ coupling law
@@ -183,7 +174,7 @@ def test_refusal_radius_uses_the_certificate_packing_radius():
         cs.evaluate_profile(ps, radii, 1.0, 10.0, times, tol=1e-3)
     need = float(re.search(r"region_radius >= (\S+)", str(refusal.value)).group(1))
     # delone_tail_sum's bound at the suggested radius meets the target tail
-    s2 = cs.normalization(ps, radii, 1.0, 10.0, 2)
+    s2 = cs.delone_tail_sum(ps, radii, 2.0, 10.0)
     target = math.log1p(1e-3) * s2.value / 8.0 ** 2
     rp = radii.r_pack
     tail = 3.0 / rp * cs.integral_tail(2.0, 1, need - rp)
@@ -199,7 +190,6 @@ def test_compact_bound_holds_on_certified_profile(line_large):
     prof = cs.evaluate_profile(ps, radii, 1.0, 10.0, times, tol=0.05)
     diag = cs.compact_bound_check(prof)
     assert diag.envelope_ok
-    assert diag.sup_dist == cs.gaussian_sup_distance(prof)
     # rhs is the pure fourth-moment term at the worst certified corner;
     # the truncation error joins on the comparison side
     worst = prof.s4.hi / prof.s2.lo ** 2
@@ -249,16 +239,12 @@ def test_uniform_scan_reports_descending_sups(line_large):
                                       tol=0.05)
     assert len(rep) == 2
     assert rep.non_increasing
-    assert rep.final_below is None
     (r1, s1), (r2, s2) = rep
     assert (r1, r2) == (10.0, 30.0)
     assert s2 <= s1
-    # an empty ladder is refused before any profile runs, with or without
-    # a threshold to compare its last entry against
+    # an empty ladder is refused before any profile runs
     with pytest.raises(ValueError, match="nonempty"):
         cs.uniform_convergence_scan(ps, radii, 2.0, [], times, 0.1)
-    with pytest.raises(ValueError, match="nonempty"):
-        cs.uniform_convergence_scan(ps, radii, 2.0, [], times, 0.1, threshold=0.1)
 
 
 # ---------------------------------------------------------------- gaussian fit

@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -53,10 +55,58 @@ def test_fixed_depth_product_refuses_non_finite_time(t):
         cs.CosProduct(3, 5).evaluate(t)
 
 
+def _mp_product(base, t):
+    """prod cos(t / base^k) at 80 digits, until the arguments drop below 1e-40."""
+    with mpmath.workdps(80):
+        x, out = mpmath.mpf(t) / base, mpmath.mpf(1)
+        while abs(x) >= mpmath.mpf(10) ** -40:
+            out *= mpmath.cos(x)
+            x /= base
+        return out
+
+
+@pytest.mark.parametrize("base", range(2, 10))
+def test_product_intervals_contain_the_mpmath_product(base):
+    for t in (0.0, 0.3, math.pi, 30.0, 1e6, 1e12, 1e20, 3 ** 40 * math.pi):
+        exact = _mp_product(base, t)
+        for c in (cs.cos_product(base, t, 1e-12), cs.cos_product(base, t, 1e-14),
+                  cs.CosProduct(base, depth=5).evaluate(t)):
+            assert abs(mpmath.mpf(c.value) - exact) <= c.err, (t, c)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: cs.cos_product(3, 1.2e154, 1e-12),
+    lambda: cs.cos_product(3, 1.4e154, 1e-12),
+    lambda: cs.CosProduct(3, 5).evaluate(1e200),
+    lambda: cs.cos_product(2, -sys.float_info.max, 1e-12),
+    lambda: cs.CosProduct(2 ** 53, 5000).evaluate(sys.float_info.max),
+], ids=["1.2e154", "1.4e154", "depth5-1e200", "base2-max", "base2^53-max"])
+def test_huge_times_get_the_trivial_interval(evaluate):
+    c = evaluate()
+    assert abs(c.value) <= 1.0 and c.err == 2.0
+
+
+def test_depth_stops_at_the_last_finite_power():
+    # 3^645 < 2^1023 < 3^646: deeper factors are exactly 1.0 and go to the tail
+    deep = cs.CosProduct(3, depth=10 ** 5).evaluate(1.0)
+    assert deep == cs.CosProduct(3, depth=645).evaluate(1.0)
+    assert 0.0 < deep.err < 1e-14
+
+
+@pytest.mark.parametrize("base", [1, 2 ** 53 + 1, 10 ** 200, 10 ** 400],
+                         ids=["1", "2^53+1", "10^200", "10^400"])
+def test_bases_outside_two_to_two_to_the_53_are_refused(base):
+    with pytest.raises(ValueError, match=r"base must be an integer in \[2, 2\^53\]"):
+        cs.cos_product(base, 1e10, 1e-12)
+    with pytest.raises(ValueError, match="base must be"):
+        cs.CosProduct(base, 3)
+
+
 # sha256 of every (value, err) pair below, as float64 bytes in loop order,
-# recorded at the commit before CosProduct lost its ``tol`` option.
+# recorded when err began to cover the rounding of the kept arguments and
+# of the product; the values alone hash as they did before.
 COS_PRODUCT_DIGEST = \
-    "8ec0623b987d8ef757218aaef310942507e06d6aa6fee8490a378f3a5e8c4225"
+    "9c6d4ab212de357b8ceee598ff15888f7835e87ca47283e3295738b2402469f4"
 
 
 def test_products_are_bit_identical_to_recorded_digest():
