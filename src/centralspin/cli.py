@@ -86,7 +86,9 @@ def _add_set_flags(p: argparse.ArgumentParser,
                    help="jitter amplitude eta for --set jitter")
     p.add_argument("--rmin", type=float, default=1.0,
                    help="hard-core distance for --set poisson")
-    p.add_argument("--margin", type=float, default=0.0)
+    p.add_argument("--margin", type=float, default=0.0,
+                   help="shrink the covering-radius probe domain to "
+                        "|q| <= rmax - margin")
 
 
 def _time_grid(args) -> np.ndarray:

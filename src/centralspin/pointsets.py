@@ -39,14 +39,11 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from ._rng import counter_uniform
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 __all__ = [
     "PointSet",
@@ -81,16 +78,24 @@ def _query_workers() -> int:
     return workers
 
 
-def _kd_tree(points: np.ndarray) -> cKDTree:
-    """KD tree over ``points``.
+def _nearest(points: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """``query(q, k=1) -> (dist, index)``, the k nearest of ``points`` to q.
 
-    scipy is imported here, on the first KD query, not with the package: it
-    is most of ``import centralspin``, and a run that queries no tree
-    (spectra, basis, every radius in d = 1) never needs it.
+    The KD tree is built once and every query runs on the thread count of
+    ``_query_workers``.  scipy is imported here, on the first KD query, not
+    with the package: it is most of ``import centralspin``, and a run that
+    queries no tree (spectra, basis, every radius in d = 1) never needs it.
     """
     from scipy.spatial import cKDTree
 
-    return cKDTree(points)
+    tree, workers = cKDTree(points), _query_workers()
+    return lambda q, k=1: tree.query(q, k=k, workers=workers)
+
+
+def _cartesian(values: np.ndarray, d: int) -> np.ndarray:
+    """Rows of values^d in lexicographic order (the last axis varies fastest)."""
+    return np.stack(np.meshgrid(*([values] * d), indexing="ij"),
+                    axis=-1).reshape(-1, d)
 
 
 def _check_dim(d: int) -> None:
@@ -172,11 +177,13 @@ class PointSet:
 class DeloneRadii:
     """Empirical Delone constants of a PointSet.
 
-    ``r_pack`` is half the minimum pairwise distance among the measured
-    points — exact for the sample.  ``r_cover`` is the largest
-    distance-to-nearest-site found by probing; the true supremum over the
-    probed domain lies in [r_cover, r_cover + probe_resolution].  Consumers
-    needing a conservative covering radius use ``r_cover_upper``.
+    ``r_pack`` is half the minimum pairwise distance over every stored
+    point, the whole window — exact for the sample.  ``r_cover`` is the
+    largest distance-to-nearest-site found by probing the covering domain
+    (the window shrunk by ``measure_radii``'s margin, which shapes nothing
+    else); the true supremum over it lies in [r_cover, r_cover +
+    probe_resolution].  Consumers needing a conservative covering radius
+    use ``r_cover_upper``.
     """
 
     r_pack: float
@@ -246,8 +253,8 @@ def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
         raise ValueError("R_max must be finite and >= 1")
     if not (0 <= jitter < 0.5):
         raise ValueError("jitter must satisfy 0 <= jitter < 0.5")
-    margin = max(0.5, jitter * math.sqrt(d))
-    pts = np.concatenate(tuple(_probe_lattice(d, R_max + margin, 1.0, 1.0)))
+    reach = max(0.5, jitter * math.sqrt(d))
+    pts = np.concatenate(tuple(_probe_lattice(d, R_max + reach, 1.0, 1.0)))
     z = pts.astype(np.int64)
     for axis in range(d):
         u = counter_uniform(seed, *(z[:, k] for k in range(d)), np.int64(axis))
@@ -267,23 +274,9 @@ def _cell_offsets(d: int, nc: int, strides: np.ndarray) -> np.ndarray:
     in cells C and C+o is at least cell * sqrt(sum_i max(|o_i|-1, 0)^2),
     so offsets with that sum >= d (i.e. gap >= r_min) never conflict.
     """
-    rng = np.arange(-nc, nc + 1, dtype=np.int64)
-    offs = np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    offs = _cartesian(np.arange(-nc, nc + 1, dtype=np.int64), d)
     gap2 = (np.maximum(np.abs(offs) - 1, 0) ** 2).sum(axis=1)
     return offs[gap2 < d] @ strides
-
-
-def _occupied_neighbours(occ: np.ndarray, flat: np.ndarray,
-                         offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (row, point) pair with point = occ[flat[row] + o] >= 0, o in offs.
-
-    One (cells x offsets) gather.  Callers only OR conflicts over the pairs
-    (a flag is cleared or set if *any* neighbour conflicts), so the order in
-    which pairs come out does not affect the result.
-    """
-    nb = occ.take(flat[:, None] + offs[None, :]).ravel()
-    hit = np.flatnonzero(nb >= 0)
-    return hit // offs.size, nb[hit]
 
 
 def _sq_dist(a: np.ndarray, rows: np.ndarray, q: list[np.ndarray]) -> np.ndarray:
@@ -314,8 +307,7 @@ def _probe_lattice(d: int, R_max: float, r_min: float, spacing: float):
         n2 = (block ** 2).sum(axis=1)
         yield block[(n2 >= r2) & (n2 <= R_max * R_max)]
         return
-    tail = np.stack(np.meshgrid(*([xs] * (d - 1)), indexing="ij"),
-                    axis=-1).reshape(-1, d - 1)
+    tail = _cartesian(xs, d - 1)
     tail2 = (tail ** 2).sum(axis=1)
     for x0 in xs:
         n2 = x0 * x0 + tail2
@@ -347,10 +339,10 @@ def insertable_probes(ps: PointSet) -> np.ndarray:
     spacing = float(ps.meta["fill_spacing"])
     if not (0.0 < spacing <= r_min):
         raise ValueError("need 0 < fill_spacing <= r_min")
-    tree = _kd_tree(ps.points)
+    query = _nearest(ps.points)
     holes = []
     for block in _probe_lattice(ps.dim, ps.region_radius, r_min, spacing):
-        dist, _ = tree.query(block, workers=_query_workers())
+        dist, _ = query(block)
         holes.append(block[dist >= r_min])
     return np.concatenate(holes, axis=0) if holes else np.empty((0, ps.dim))
 
@@ -364,12 +356,15 @@ def _exclude(occ: np.ndarray, buf: np.ndarray, offs: np.ndarray,
     sqrt(dd) < r_min, the distance a KD query compares.
 
     ``cand`` holds candidates axis-major and ``flat`` their padded cell
-    indices.  Returns the pairs read: candidate indices and neighbour
-    coordinates, axis-major.
+    indices.  One (cells x offsets) gather of ``occ`` reads every occupied
+    neighbour; a flag is cleared if *any* of them conflicts, so the order
+    of the pairs does not matter.  Returns the pairs read: candidate
+    indices and neighbour coordinates, axis-major.
     """
-    row, nbr = _occupied_neighbours(occ, flat[sel], offs)
-    i = sel[row]
-    q = [x[nbr] for x in buf.T]
+    nb = occ.take(flat[sel][:, None] + offs[None, :]).ravel()
+    hit = np.flatnonzero(nb >= 0)
+    i = sel[hit // offs.size]
+    q = [x[nb[hit]] for x in buf.T]
     ok[i[np.sqrt(_sq_dist(cand, i, q)) < r_min]] = False
     return i, q
 
@@ -459,10 +454,12 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     n_phases = stride ** d
     sp = np.array([stride ** (d - 1 - k) for k in range(d)], dtype=np.int64)
 
+    def flat_of(cells: np.ndarray) -> np.ndarray:
+        """Padded flat index of integer cell coordinates."""
+        return (cells + pad) @ pstrides
+
     # Cells whose cube intersects the legal annulus r_min <= |q| <= R_max.
-    axis_idx = np.arange(n_side, dtype=np.int64)
-    grid_idx = np.stack(np.meshgrid(*([axis_idx] * d), indexing="ij"),
-                        axis=-1).reshape(-1, d)
+    grid_idx = _cartesian(np.arange(n_side, dtype=np.int64), d)
     centers = lo + (grid_idx.astype(np.float64) + 0.5) * cell
     near2 = (np.maximum(np.abs(centers) - half, 0.0) ** 2).sum(axis=1)
     far2 = ((np.abs(centers) + half) ** 2).sum(axis=1)
@@ -474,8 +471,9 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     buf = np.empty((active_idx.shape[0], d), dtype=np.float64)
     n_pts = 0
     fails = np.zeros(active_idx.shape[0], dtype=np.int32)
-    phases = (active_idx % stride) @ sp
-    dead_cells: list[np.ndarray] = []
+    flat, phases = flat_of(active_idx), (active_idx % stride) @ sp
+    # the phase of each budget-dead cell at its flat index, -1 elsewhere
+    dead_phase = np.full(pside ** d, -1, dtype=np.int8)
     rnd = 0
     while active_idx.shape[0]:
         cells = active_idx
@@ -486,7 +484,6 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
             darts[axis] = lo + (cells[:, axis] + u) * cell
         dn2 = sum(x ** 2 for x in darts)
         ok = (dn2 >= r2) & (dn2 <= R_max * R_max)
-        flat = (cells + pad) @ pstrides
         cent = lo + (cells.T.astype(np.float64) + 0.5) * cell
         blocked = np.zeros(cells.shape[0], dtype=bool)
         for p in range(n_phases):
@@ -501,29 +498,25 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
         failed = ~ok
         fails[failed] += 1
         dead = failed & ~blocked & (fails > _BUDGET)
-        if dead.any():
-            dead_cells.append(cells[dead])
+        dead_phase[flat[dead]] = phases[dead]
         keep = ~(ok | dead | blocked)
-        active_idx = cells[keep]
+        active_idx, flat = cells[keep], flat[keep]
         fails = fails[keep]
         phases = phases[keep]
         rnd += 1
 
     # Fill sweep: scan budget-dead cells with absolute-lattice probes.
-    if dead_cells:
-        dead_mask = np.zeros(pside ** d, dtype=bool)
-        dead_mask[(np.concatenate(dead_cells) + pad) @ pstrides] = True
+    if (dead_phase >= 0).any():
         probes = np.concatenate([
-            block[dead_mask[(np.floor((block - lo) / cell).astype(np.int64)
-                             + pad) @ pstrides]]
+            block[dead_phase[flat_of(np.floor((block - lo) / cell)
+                                     .astype(np.int64))] >= 0]
             for block in _probe_lattice(d, R_max, r_min, fill_spacing)])
         # the one KD query only thins the probes; the grid judges them below
-        pdist, _ = _kd_tree(buf[:n_pts]).query(probes, workers=_query_workers())
+        pdist, _ = _nearest(buf[:n_pts])(probes)
         surv = probes[pdist >= r_min]  # lexicographic, as the lattice yields
+        sflat = flat_of(np.floor((surv - lo) / cell).astype(np.int64))
         while True:
-            scoord = np.floor((surv - lo) / cell).astype(np.int64)
-            sflat = (scoord + pad) @ pstrides
-            sphase = (scoord % stride) @ sp
+            sphase = dead_phase[sflat]  # every survivor lies in a dead cell
             # drop every survivor the grid excludes, its own cell included
             good = np.ones(surv.shape[0], dtype=bool)
             _exclude(occ, buf, offs_own, sflat, surv.T, good,
@@ -540,7 +533,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
                                       good, sel[ridx], r_min)
             if n_pts == n0:
                 raise RuntimeError("fill sweep stalled; this is a bug")
-            surv = surv[good]
+            surv, sflat = surv[good], sflat[good]
 
     meta = {"kind": "poisson", "dim": d, "R_max": float(R_max),
             "r_min": float(r_min), "seed": int(seed), "budget": _BUDGET,
@@ -581,7 +574,7 @@ _BNB_BLOCK = 1 << 12  # parents expanded at once (bounds transient memory)
 _KD_PAD = 1e-12  # relative gap allowed between numpy and cKDTree distances
 
 
-def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
+def _covering_bnb(sites: np.ndarray, d: int, R_dom: float,
                   resolution: float) -> tuple[float, float]:
     """Branch-and-bound estimate of sup_{|q| <= R_dom} dist(q, sites).
 
@@ -607,17 +600,13 @@ def _covering_bnb(tree: cKDTree, d: int, R_dom: float,
     h = 1.0
     hd = h * math.sqrt(d) / 2.0
     m = int(math.ceil(R_dom / h)) + 1
-    axis = (np.arange(-m, m, dtype=np.float64) + 0.5) * h
-    centers = np.stack(np.meshgrid(*([axis] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d)
+    centers = _cartesian((np.arange(-m, m, dtype=np.float64) + 0.5) * h, d)
     centers = centers[(centers ** 2).sum(axis=1) <= (R_dom + hd) ** 2]
     best = 0.0
-    workers = _query_workers()
-    sites = tree.data
-    child = (np.stack(np.meshgrid(*([np.array([-1.0, 1.0])] * d), indexing="ij"),
-                      axis=-1).reshape(-1, d))
+    query = _nearest(sites)
+    child = _cartesian(np.array([-1.0, 1.0]), d)
     while True:
-        dist, nearest = tree.query(centers, workers=workers)
+        dist, nearest = query(centers)
         inside = (centers ** 2).sum(axis=1) <= R_dom * R_dom
         if inside.any():
             best = max(best, float(dist[inside].max()))
@@ -660,18 +649,21 @@ def _check_margin(margin: float) -> None:
 def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     """Measure the empirical packing and covering radii of a point set.
 
-    r_pack is half the minimum pairwise distance among points with
-    |p| <= region_radius - margin (exact for the sample).  r_cover is the
-    maximum distance from any probe q with |q| <= region_radius - margin to
-    the nearest site; the probe search is exact in d=1 and branch-and-bound
-    elsewhere, with the remaining gap reported as probe_resolution.
+    r_pack is half the minimum pairwise distance over every stored point,
+    the whole window (exact for the sample).  ``margin`` shapes only the
+    covering domain: r_cover is the maximum distance from any probe q with
+    |q| <= region_radius - margin to the nearest site, since only covering
+    feels the window's edge.  The probe search is exact in d=1 and
+    branch-and-bound elsewhere, with the remaining gap reported as
+    probe_resolution.  A set of fewer than 2 points, or a margin that
+    leaves no probe domain, is refused.
 
     In d=1 both radii come from one sort of the line and no KD tree is
-    built, so they never read CENTRALSPIN_THREADS.  The core is a run of the
-    sorted points and its smallest neighbour gap a is the minimum pairwise
-    distance; a KD query reports sqrt(fl(a*a)), which in binary64 equals
-    |a| short of overflow and underflow, so r_pack is the same float.  The
-    origin site is inserted into the sorted points, not sorted in again.
+    built, so they never read CENTRALSPIN_THREADS.  The smallest neighbour
+    gap a of the sorted line is the minimum pairwise distance; a KD query
+    reports sqrt(fl(a*a)), which in binary64 equals |a| short of overflow
+    and underflow, so r_pack is the same float.  The origin site is
+    inserted into the sorted points, not sorted in again.
 
     The origin counts as a site for covering purposes: the central spin
     occupies it, so the punctured ball around 0 is not a hole of the bath
@@ -682,23 +674,18 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     R_dom = ps.region_radius - margin
     if R_dom <= 0:
         raise ValueError("margin leaves no probe domain")
-    inside = ps.radii <= R_dom
-    if np.count_nonzero(inside) < 2:
-        raise ValueError("need at least 2 points inside the margin region")
+    if ps.n_points < 2:
+        raise ValueError("need at least 2 points")
     if ps.dim == 1:
         xs = np.sort(ps.points.ravel())
-        # |x| is the norm of a 1-vector, so this run is the core, sorted
-        run = xs[np.abs(xs) <= R_dom]
         sites = np.insert(xs, np.searchsorted(xs, 0.0), 0.0)
-        return DeloneRadii(r_pack=float(np.diff(run).min()) / 2.0,
+        return DeloneRadii(r_pack=float(np.diff(xs).min()) / 2.0,
                            r_cover=_covering_exact_1d(sites, R_dom))
 
-    core = ps.points[inside]
-    nn_dist, _ = _kd_tree(core).query(core, k=2, workers=_query_workers())
+    nn_dist, _ = _nearest(ps.points)(ps.points, k=2)
     r_pack = float(nn_dist[:, 1].min()) / 2.0
     sites = np.concatenate([ps.points, np.zeros((1, ps.dim))], axis=0)
-    r_cover, gap = _covering_bnb(_kd_tree(sites), ps.dim, R_dom,
-                                 _RESOLUTION[ps.dim])
+    r_cover, gap = _covering_bnb(sites, ps.dim, R_dom, _RESOLUTION[ps.dim])
     return DeloneRadii(r_pack=r_pack, r_cover=r_cover, probe_resolution=gap)
 
 
@@ -720,9 +707,12 @@ def count_annulus(ps: PointSet, a: float, b: float) -> int:
 def _certified_r_pack(ps: PointSet, radii: DeloneRadii) -> float:
     """Packing radius safe for every upper bound: min(structural, measured).
 
-    The measured r_pack covers only the margin core; beyond it, out to
-    region_radius and past it, only the generator's ``r_pack_structural``
-    holds, so a set whose meta carries none is refused.
+    The measured r_pack covers the whole window, every stored point, but
+    the tail bounds also count sites beyond region_radius, where only the
+    generator's ``r_pack_structural`` holds, so a set whose meta carries
+    none is refused.  On every generated set structural <= measured (the
+    lattice measures 1/2, jittered pairs are >= 1 - 2*jitter apart and
+    Poisson pairs >= r_min), so the structural radius is what this returns.
     """
     structural = ps.meta.get("r_pack_structural")
     if structural is None:

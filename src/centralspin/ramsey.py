@@ -101,6 +101,9 @@ _LOGCOS = np.array([1 / 2, 1 / 12, 1 / 45, 17 / 2520, 31 / 14175,
                     3202291 / 97692469875])
 _REMAINDER_FACTOR = 1.0 / (1.0 - 4.0 * _X0 * _X0 / math.pi ** 2)
 _EPS = 2.0 ** -53  # unit roundoff
+# cap on the window exponent t^2 s before expm1: expm1(2) > 2, so the
+# clamped err is unchanged and expm1 cannot overflow
+_W_CAP = 2.0
 # elements of one (times x near sites) block of cosines
 _BLOCK = 1 << 18
 
@@ -256,7 +259,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
             f"dropped cosine arguments reach 1 at t={t_max:g}; "
             f"need region_radius > {need:.6g}")
     s_tail = 2.0 * s2.err / s2.value  # bound on the dropped normalized square sum
-    err_at_max = min(2.0, math.expm1(t_max * t_max * s_tail))
+    err_at_max = min(2.0, math.expm1(min(t_max * t_max * s_tail, _W_CAP)))
     if err_at_max > tol:
         tail_target = math.log1p(tol) * s2.value / (t_max * t_max)
         need = _required_r_max(ps, radii, 2 * alpha, tail_target)
@@ -270,7 +273,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     at, inv = np.unique(np.abs(times), return_inverse=True)
     log_far, far_err = _far_series(u[far], counts[far], at, t_max)
     values = _near_product(u[~far], counts[~far], at, log_far)
-    err = np.minimum(2.0, np.expm1(at ** 2 * s_tail) + far_err)
+    err = np.minimum(2.0, np.expm1(np.minimum(at ** 2 * s_tail, _W_CAP)) + far_err)
     return RamseyProfile(r=float(r), times=times, values=values[inv], err=err[inv],
                          s2=s2, s4=s4, dim=ps.dim, alpha=float(alpha))
 

@@ -160,8 +160,11 @@ def recursion_check(base: int, t: float) -> bool:
     """Check the reindexing identity C(base * t) = cos(t) * C(t).
 
     Both sides are evaluated with certified error; the identity must hold
-    within the combined certificates plus 1e-12 of float slack.
+    within the combined certificates plus 1e-12 of float slack.  A finite
+    ``t`` whose ``base * t`` overflows is refused.
     """
+    if math.isfinite(t) and not math.isfinite(base * t):
+        raise ValueError(f"base * t overflows at base={base}, t={t!r}")
     lhs = cos_product(base, base * t, _TOL)
     rhs = cos_product(base, t, _TOL)
     ct = math.cos(t)

@@ -78,6 +78,9 @@ def test_inner_product_is_exactly_orthonormal():
     assert cs.inner_product((1, 25), (1, 25)) == 1.0
     assert cs.inner_product((), ()) == 1.0
     assert cs.inner_product((), (4,)) == 0.0
+    # above 20 differing indices the pattern sum is 0 by factorization
+    assert cs.inner_product(range(1, 22), ()) == 0.0
+    assert cs.inner_product(range(1, 26), range(1, 26)) == 1.0
 
 
 def test_index_container_normalizes_and_validates():

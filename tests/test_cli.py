@@ -151,6 +151,19 @@ def test_bad_arguments_exit_two(tmp_path, monkeypatch, capsys):
         assert not (tmp_path / "x.csv").exists(), argv
 
 
+def test_window_past_expm1_range_is_refused_not_a_traceback(tmp_path,
+                                                           monkeypatch, capsys):
+    # t_max^2 * s_tail is far above what expm1 takes: the certificate is
+    # the trivial 2, which tol 0.1 refuses
+    monkeypatch.chdir(tmp_path)
+    argv = ["ramsey", "--dim", "1", "--alpha", "1", "--r", "1", "--rmax", "560",
+            "--tmax", "1000", "--dt", "100", "--tol", "0.1", "--out", "x.csv"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: truncation certificate 2 exceeds tol=0.1 at t=1000")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("sub", ["points", "bounds", "ramsey"])
 @pytest.mark.parametrize("rmax", ["inf", "nan"])
 def test_non_finite_region_exits_two(sub, rmax, tmp_path, monkeypatch, capsys):
@@ -224,7 +237,10 @@ def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
 # sha256 of every file that each command writes, recorded from a checkout of
 # the commit before the CLI's sidecars and reports shared one writer; sp.csv
 # re-recorded when its err column began to cover argument and product
-# rounding (its t and C columns hash as before)
+# rounding (its t and C columns hash as before); pj.csv.json re-recorded
+# when r_pack began to cover every stored point, not the margin core: only
+# its r_pack line changed, 0.2791691961486913 -> 0.2731331585253967, half the
+# brute-force minimum over all point pairs of the set
 ARTIFACT_DIGESTS = [
     (["points", "--dim", "2", "--set", "poisson", "--rmax", "15", "--seed", "7",
       "--out", "pts.csv"],
@@ -233,7 +249,7 @@ ARTIFACT_DIGESTS = [
     (["points", "--dim", "3", "--set", "jitter", "--rmax", "6", "--seed", "2",
       "--margin", "1", "--out", "pj.csv"],
      {"pj.csv": "9eba18f6bf5ac0a4584f1d13f02ae56f982bf0254c7ea71aabde953c20e1f59b",
-      "pj.csv.json": "31ee4f2767f31b892f5e65586134d4d7d446b25174e7385dfef4077f1f07f3c6"}),
+      "pj.csv.json": "8dc0e53bcfd1573ffc2ada6dcc1b3574fc239bba7d6b7ea44f8167b68cc2638c"}),
     (["bounds", "--dim", "1", "--rmax", "200", "--alpha", "2", "--r", "5", "10",
       "--out", "b.json"],
      {"b.json": "8743857371df79149a7d14fa4015fae9a7b875af45e9c2d5647e5fe8eaedb7da"}),

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +38,13 @@ def test_package_names_are_the_module_objects():
         mod = importlib.import_module(f"centralspin.{name}")
         for attr in mod.__all__:
             assert getattr(centralspin, attr) is getattr(mod, attr), attr
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the README's one python block, run as a user would paste it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(block, str(readme), "exec"), {})
+    s2_line, check_line = capsys.readouterr().out.splitlines()
+    assert s2_line.startswith("S2 = ") and " +/- " in s2_line
+    assert check_line.split()[0] == "True"

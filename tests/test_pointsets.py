@@ -293,6 +293,18 @@ def test_measure_radii_refuses_a_negative_or_nan_margin(margin):
         cs.measure_radii(cs.gen_lattice(2, 10.0), margin)
 
 
+def test_measure_radii_refuses_only_too_few_points_or_no_probe_domain():
+    ps = cs.gen_lattice(2, 10.0)
+    with pytest.raises(ValueError, match="margin leaves no probe domain"):
+        cs.measure_radii(ps, 10.0)
+    one = cs.PointSet(2, [[1.0, 0.0]], 5.0, meta={"r_pack_structural": 0.5})
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        cs.measure_radii(one)
+    # no point lies within the covering domain |q| <= 0.5; margin shapes
+    # nothing else, so r_pack is still the whole window's
+    assert cs.measure_radii(ps, 9.5).r_pack == 0.5
+
+
 @pytest.mark.parametrize("field", ["r_pack", "r_cover", "probe_resolution"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_delone_radii_refuse_non_finite_fields(field, bad):
@@ -352,13 +364,18 @@ def test_measured_line_radii_are_exact():
 ], ids=["lattice", "jitter0", "jitter0.25", "jitter0.49", "poisson0.7",
         "poisson1.3"])
 def test_line_packing_radius_is_the_kd_tree_value(make):
-    # the d = 1 r_pack comes from a sort; a KD query over the same core must
-    # give the same float, since sqrt(fl(a * a)) == |a| in binary64
+    # the d = 1 r_pack comes from a sort of every stored point, whatever the
+    # margin; a KD query over the same points must give the same float,
+    # since sqrt(fl(a * a)) == |a| in binary64, and so must a brute-force
+    # minimum over all pairs
     ps = make()
+    x = ps.points[:, 0]
+    gaps = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    dist, _ = cKDTree(ps.points).query(ps.points, k=2)
+    assert dist[:, 1].min() == gaps.min()
     for margin in (0.0, 1.0, 7.5, 150.0):
-        core = ps.points[ps.radii <= ps.region_radius - margin]
-        dist, _ = cKDTree(core).query(core, k=2)
-        assert cs.measure_radii(ps, margin).r_pack == dist[:, 1].min() / 2.0
+        assert cs.measure_radii(ps, margin).r_pack == gaps.min() / 2.0
 
 
 def _covering_exact_1d_searchsorted(xs, R_dom):
@@ -394,12 +411,16 @@ def test_line_covering_equals_the_searchsorted_search():
 
 
 # (r_pack, r_cover, probe_resolution) recorded at the commit before the
-# covering search skipped children bounded through their parent's site
+# covering search skipped children bounded through their parent's site.
+# The Poisson r_pack was re-recorded when r_pack began to cover every stored
+# point, not the margin core: 0.7500712356332758 -> 0.7500072076209777, half
+# the brute-force minimum over all point pairs (its r_cover and
+# probe_resolution are unchanged)
 PINNED_RADII = [
     (lambda: cs.gen_jittered(3, 20.0, 0.25, 3),
      (0.2562676176945162, 0.9940537658155995, 0.10825317547305491)),
     (lambda: cs.gen_poisson_disk(3, 15.0, 1.5, seed=3),
-     (0.7500712356332758, 1.645749516511485, 0.10825317547305491)),
+     (0.7500072076209777, 1.645749516511485, 0.10825317547305491)),
 ]
 
 
@@ -451,7 +472,7 @@ def test_covering_search_equals_the_unpruned_search(d, make):
     sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
     for R_dom, res in ((ps.region_radius - 1.0, 0.05), (ps.region_radius, 0.2)):
         want = _covering_bnb_unpruned(sites, d, R_dom, res)
-        assert pointsets._covering_bnb(cKDTree(sites), d, R_dom, res) == want
+        assert pointsets._covering_bnb(sites, d, R_dom, res) == want
 
 
 def _brute_distance_max(ps, R_dom, s):
@@ -501,13 +522,21 @@ def test_thread_knob_refuses_zero_and_non_integers(monkeypatch, value):
 
 
 def test_thread_knob_defaults_to_every_core(monkeypatch):
-    ps = cs.gen_lattice(2, 10.0)
+    # every reader of the knob queries through _nearest: the radii, the fill
+    # sweep of gen_poisson_disk (this set leaves budget-dead cells) and
+    # insertable_probes
+    def run():
+        ps = cs.gen_poisson_disk(2, 10.0, 1.0, seed=4)
+        return (ps.points.tobytes(), cs.measure_radii(ps),
+                cs.measure_radii(cs.gen_lattice(2, 10.0)),
+                cs.insertable_probes(ps).tobytes())
+
     monkeypatch.delenv("CENTRALSPIN_THREADS", raising=False)
     assert pointsets._query_workers() == -1
-    unset = cs.measure_radii(ps)
+    unset = run()
     for value in ("-1", "1"):
         monkeypatch.setenv("CENTRALSPIN_THREADS", value)
-        assert cs.measure_radii(ps) == unset
+        assert run() == unset
     assert pointsets._query_workers() == 1
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -159,6 +160,28 @@ def test_profile_refuses_uncertifiable_tolerance():
     times = np.linspace(0.0, 8.0, 81)
     with pytest.raises(ValueError, match="region_radius >="):
         cs.evaluate_profile(ps, radii, 1.0, 10.0, times, tol=1e-3)
+    # a window too small for the largest dropped argument to stay below 1
+    ps = cs.gen_lattice(1, 50.0)
+    radii = cs.measure_radii(ps)
+    with pytest.raises(ValueError, match=re.escape(
+            "dropped cosine arguments reach 1 at t=1000; "
+            "need region_radius > 549.577")):
+        cs.evaluate_profile(ps, radii, 1.0, 1.0, np.linspace(0.0, 1000.0, 11),
+                            tol=2.0)
+
+
+def test_window_exponent_past_expm1_range_gives_the_trivial_error():
+    # t_max^2 * s_tail is far above 709, where expm1 overflows: every row
+    # but t = 0 carries the trivial err 2, with no overflow warning
+    ps = cs.gen_lattice(1, 560.0)
+    radii = cs.measure_radii(ps)
+    times = np.arange(0.0, 1001.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = cs.evaluate_profile(ps, radii, 1.0, 1.0, times, tol=2.0)
+    assert prof.err[0] == 0.0 and (prof.err[1:] == 2.0).all()
+    s2 = prof.s2
+    assert times[-1] ** 2 * 2.0 * s2.err / s2.value > 709.0
 
 
 def test_refusal_radius_uses_the_certificate_packing_radius():

@@ -134,6 +134,13 @@ def test_rescaling_identity_property(base, t):
     assert cs.recursion_check(base, t)
 
 
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_rescaling_identity_refuses_an_overflowing_base_times_t(t):
+    # t is finite; base * t is not, and the refusal says so
+    with pytest.raises(ValueError, match=r"base \* t overflows"):
+        cs.recursion_check(3, t)
+
+
 # ------------------------------------------------------- persistent oscillation
 
 def test_oscillation_alternates_for_odd_base():
