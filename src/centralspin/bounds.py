@@ -36,14 +36,37 @@ Upper bounds must use a *lower* estimate of r_pack and lower bounds an
 structural packing radius; the one rule, shared with the annulus checks)
 for upper bounds and ``r_cover + probe_resolution`` for lower bounds.
 
-All finite sums use compensated (exact pairwise) accumulation via
-``math.fsum`` over chunks, so the arithmetic error of the reported value
-is a few ulps and is dominated by the certified tail term everywhere.
+Every finite sum goes through ``_fsum_counted(x, counts)``, which returns,
+bit for bit, ``math.fsum`` of the partial sums that ``math.fsum`` gives
+over the 4096-term chunks of ``np.repeat(x, counts)``.  Per-site terms
+(no ``counts``) are summed chunk by chunk with ``math.fsum`` as they stand.
+A tail sum passes each radial shell once, with its site count; the
+exactness chain of that counted sum:
+
+1. each term is m * 2^(e - 53) (``np.frexp``) with m an integer,
+   |m| < 2^53, split into halves m = hi * 2^26 + lo with |hi| < 2^27,
+   |lo| < 2^26;
+2. a shell's sites within one chunk number c <= 4096, so c * hi and c * lo
+   are exact, and ``np.bincount`` adds them per (chunk, binary exponent)
+   bin with every partial sum below 4096 * 2^27 = 2^39 < 2^53: exact;
+3. a chunk's bins, shifted into one Python ``int``, are its exact total,
+   and ``int / int`` (or ``float(int)``) rounds it once, correctly; so does
+   ``math.fsum``, so each chunk partial is the float ``math.fsum`` returns
+   for that chunk (an exact zero takes the sign ``math.fsum`` gives the
+   chunk's zeros);
+4. ``math.fsum`` adds the chunk partials, as before.
+
+The arithmetic error of a reported value is therefore a few ulps, dominated
+by the certified tail term everywhere.  The 4096 chunking stays although a
+single correctly rounded sum of all terms would be simpler and no less
+accurate: it would move the last bits of recorded artifacts, so it belongs
+with a change of the certification contract.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +84,9 @@ __all__ = [
     "asymptotic_ratio",
 ]
 
-_FSUM_CHUNK = 4096
+_CHUNK_BITS = 12
+_FSUM_CHUNK = 1 << _CHUNK_BITS  # terms per math.fsum chunk
+_HALF = 26  # bits in the low half of a 53-bit mantissa
 
 
 @dataclass(frozen=True)
@@ -134,12 +159,85 @@ def integral_tail(alpha: float, d: int, r: float) -> float:
     return r ** (d - alpha) / (alpha - d)
 
 
-def _fsum_chunked(x: np.ndarray) -> float:
-    """Compensated sum of a 1-D array (exactly rounded per chunk)."""
-    if x.size <= _FSUM_CHUNK:
-        return math.fsum(x.tolist())
-    parts = [math.fsum(x[i:i + _FSUM_CHUNK].tolist())
-             for i in range(0, x.size, _FSUM_CHUNK)]
+def _fsum_counted(x: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """math.fsum over 4096-term chunks of ``np.repeat(x, counts)``, then over
+    the chunk partials, bit for bit, without forming the repeated array.
+
+    Without ``counts`` each term is one site and the chunks are summed as
+    they stand.  ``counts`` (non-negative integers) may exceed a chunk;
+    temporaries are sized by ``x`` and by the number of chunks.  The
+    exactness argument is in the module docstring.  Refuses non-finite terms.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if counts is None:
+        # per-site terms are their own chunks; binning has a fixed cost of
+        # ~60 us a call, as much as math.fsum of ~1300 terms
+        total = math.fsum([math.fsum(x[i:i + _FSUM_CHUNK].tolist())
+                           for i in range(0, x.size, _FSUM_CHUNK)])
+        if not math.isfinite(total):  # finite terms give a finite fsum or raise
+            raise ValueError("cannot sum non-finite terms")
+        return total
+    if not np.isfinite(x).all():
+        raise ValueError("cannot sum non-finite terms")
+    if not x.size:
+        return 0.0
+    end = np.cumsum(counts, dtype=np.int64)
+    n_chunks = (int(end[-1]) + _FSUM_CHUNK - 1) >> _CHUNK_BITS
+    start = end - counts  # both non-decreasing
+    key = start >> _CHUNK_BITS  # the chunk of each term's first site
+    lo, e = np.frexp(x)
+    e_min = int(e.min())
+    e -= e_min
+    width = int(e.max()) + 1 + _HALF  # hi halves sit _HALF places up
+    lo *= 2.0 ** (53 - _HALF)  # the integer mantissa over 2^_HALF
+    hi = np.trunc(lo)
+    lo -= hi
+    lo *= 2.0 ** _HALF
+    # rows (bin keys, lo and hi halves times the sites of the term in that
+    # chunk): each term adds to the chunk of its first site; a term whose
+    # sites run past a chunk edge keeps those before the edge there and adds
+    # one row per further chunk
+    rows, reps = [], counts
+    s = np.flatnonzero(((end - 1) >> _CHUNK_BITS) > key)
+    if s.size:
+        span = ((end[s] - 1) >> _CHUNK_BITS) - key[s]
+        t = np.repeat(s, span)
+        k = key[t] + 1 + np.arange(t.size) - np.repeat(np.cumsum(span) - span, span)
+        c = np.minimum(end[t] - (k << _CHUNK_BITS), _FSUM_CHUNK)
+        rows.append((k * width + e[t], lo[t] * c, hi[t] * c))
+        reps = counts.copy()
+        reps[s] = ((key[s] + 1) << _CHUNK_BITS) - start[s]
+    key *= width
+    key += e
+    lo *= reps
+    hi *= reps
+    rows.append((key, lo, hi))
+    size = n_chunks * width
+    lo_bins, hi_bins = np.zeros(size), np.zeros(size)
+    for k, lo_w, hi_w in rows:
+        # a zero-count term past the last site keys beyond ``size``
+        lo_bins += np.bincount(k, weights=lo_w, minlength=size)[:size]
+        hi_bins += np.bincount(k, weights=hi_w, minlength=size)[:size]
+    bins = lo_bins.reshape(n_chunks, width)
+    bins[:, _HALF:] += hi_bins.reshape(n_chunks, width)[:, :-_HALF]
+    totals = [0] * n_chunks
+    nz = np.flatnonzero(bins)
+    for i, v in zip(nz.tolist(), bins.ravel()[nz].astype(np.int64).tolist()):
+        chunk, shift = divmod(i, width)
+        totals[chunk] += v << shift
+    scale = e_min - 53
+    parts = []
+    for chunk, total in enumerate(totals):
+        if total:
+            parts.append(total / (1 << -scale) if scale < 0
+                         else float(total << scale))
+        else:
+            # an exact zero: signed as math.fsum signs the chunk's terms
+            site = chunk << _CHUNK_BITS
+            a = int(np.searchsorted(end, site, side="right"))
+            b = int(np.searchsorted(start, site + _FSUM_CHUNK))
+            held = x[a:b][counts[a:b] > 0]
+            parts.append(0.0 if held.any() else math.fsum(held.tolist()))
     return math.fsum(parts)
 
 
@@ -165,7 +263,8 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
     distance >= 2 r_pack from every other, exactly as inside the window.
     Requires alpha > d and 0 <= r <= R_max.  The window sum powers each
     radius of ``ps.shells(r)`` once (largest first, on a reversed view) and
-    repeats it per site; pow is elementwise, so each term is the per-site one.
+    adds it with its site count; pow is elementwise, so each term is the
+    per-site one.
     """
     d = ps.dim
     _check_tail_exponent(d, alpha)
@@ -173,7 +272,7 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
         raise ValueError("need 0 <= r <= region_radius")
     rp = _certified_r_pack(ps, radii)
     rho, cnt = ps.shells(r)
-    finite = _fsum_chunked(np.repeat(rho[::-1] ** (-alpha), cnt[::-1]))
+    finite = _fsum_counted(rho[::-1] ** (-alpha), cnt[::-1])
     tail_cut = ps.region_radius - rp
     if tail_cut <= 0.0:
         raise ValueError("region too small for the packing radius")
@@ -242,13 +341,15 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
         raise ValueError("sum diverges unless alpha > 1")
     if not alpha < math.inf:
         raise ValueError("alpha must be finite")
+    if not isinstance(M, numbers.Integral):
+        raise ValueError("M must be an integer")
     if M < 2:
         raise ValueError("need M >= 2 so the correction bound is usable")
     integral = (M - 0.5) ** (1.0 - alpha) / (alpha - 1.0)
     corr = alpha * (M - 1.5) ** (-alpha - 1.0) / 24.0
     N = max(2 * M, 1000)
     n = np.arange(M, N + 1, dtype=np.float64)
-    head = _fsum_chunked(np.sort(n ** (-alpha)))
+    head = _fsum_counted(np.sort(n ** (-alpha)))
     # remainder over n >= N+1 certified recursively: it lies in
     # [tail_integral - corr(N+1), tail_integral]
     rem_int = (N + 0.5) ** (1.0 - alpha) / (alpha - 1.0)

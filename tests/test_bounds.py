@@ -87,6 +87,68 @@ def test_tail_sum_interval_sits_on_the_window_sum(grid_sets):
     assert got.hi > finite
 
 
+def _chunked_fsum(x, counts=None):
+    """The per-site reference: math.fsum over 4096-term chunks of the
+    repeated array, then over the chunk partials."""
+    y = np.repeat(x, counts) if counts is not None else np.asarray(x)
+    if y.size <= 4096:
+        return math.fsum(y.tolist())
+    return math.fsum([math.fsum(y[i:i + 4096].tolist())
+                      for i in range(0, y.size, 4096)])
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_counted_sum_equals_the_per_site_chunked_fsum():
+    # shells added once with their site counts give, bit for bit, the float
+    # that math.fsum gives over 4096-site chunks of the repeated terms
+    sets = [cs.gen_lattice(1, 3000.0), cs.gen_lattice(2, 40.0),
+            cs.gen_lattice(3, 12.0), cs.gen_jittered(2, 30.0, 0.2, seed=5),
+            cs.gen_poisson_disk(2, 20.0, 0.8, seed=3)]
+    for ps in sets:
+        for r in (0.0, float(ps.radii[ps.n_points // 3]), ps.region_radius):
+            rho, cnt = ps.shells(r)
+            for alpha in (2.5, 7.0):
+                x = rho[::-1] ** (-alpha)
+                assert _same_float(bounds._fsum_counted(x, cnt[::-1]),
+                                   _chunked_fsum(x, cnt[::-1]))
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.5, 2.0, 5000) * 10.0 ** rng.integers(-30, 30, 5000)
+    # 4096 to 4098 sites in all; shells of 3 straddle every chunk edge
+    cases = [np.full(2048, 2), np.full(4097, 1), np.full(2049, 2),
+             np.array([3] * 1365 + [1]), np.array([3] * 1365 + [2])]
+    for c in cases:
+        xs = x[:c.size]
+        assert _same_float(bounds._fsum_counted(xs, c), _chunked_fsum(xs, c))
+    # one hand-built shell of more sites than a chunk, between two others
+    x3, c3 = np.array([0.1, 1.0 / 3.0, 0.7]), np.array([5, 9000, 3])
+    assert _same_float(bounds._fsum_counted(x3, c3), _chunked_fsum(x3, c3))
+    # signed, zero and subnormal terms, as the basis callers pass them
+    tiny = 5e-324 * rng.integers(-1000, 1000, 9000)
+    signed = rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000)
+    signed[::7] = 0.0
+    signed[3::7] = -0.0
+    for xs in (tiny, signed, -signed, np.full(5000, -0.0), np.zeros(3),
+               np.sign(rng.standard_normal(8193)), np.array([1.0, -1.0]),
+               np.array([]), np.concatenate([np.full(4096, -0.0), [1.5]])):
+        assert _same_float(bounds._fsum_counted(xs), _chunked_fsum(xs))
+        counts = rng.integers(0, 3, xs.size)
+        assert _same_float(bounds._fsum_counted(xs, counts),
+                           _chunked_fsum(xs, counts))
+    # alternating signs, as fourier_coeff(14, 0) sums them: every chunk is an
+    # exact zero, and each one's sign reads only the terms it holds
+    alt = np.tile([-1.0, 1.0], 1 << 13)
+    for c in (np.ones(alt.size, dtype=np.int64), np.full(alt.size, 3)):
+        assert _same_float(bounds._fsum_counted(alt, c), _chunked_fsum(alt, c))
+    with pytest.raises(ValueError, match="non-finite"):
+        bounds._fsum_counted(np.array([1.0, math.inf, 2.0]), np.array([1, 1, 1]))
+    for bad in ([1.0, math.inf], [math.nan, 2.0], [math.inf, -math.inf]):
+        with pytest.raises(ValueError):
+            bounds._fsum_counted(np.array(bad))
+
+
 def test_tail_sum_matches_a_fresh_sort_at_every_cut():
     # the finite sum reads the shells of the once-sorted radii beyond r; it
     # must add the same terms in the same order as sorting the selection
@@ -100,8 +162,7 @@ def test_tail_sum_matches_a_fresh_sort_at_every_cut():
             for r in (0.0, 1.0, 2.0, float(rr[17]), 7.3, float(rr.max()), 12.0):
                 got = cs.delone_tail_sum(pset, radii, alpha, r)
                 sel = rr[rr >= r]
-                finite = (bounds._fsum_chunked(np.sort(sel)[::-1] ** (-alpha))
-                          if sel.size else 0.0)
+                finite = _chunked_fsum(np.sort(sel)[::-1] ** (-alpha))
                 assert got.value == finite + got.err
     assert ps.shells(7.3)[0].base is ps.shells(0.0)[0].base  # sorted once, then cached
 
@@ -192,6 +253,10 @@ def test_midpoint_comparison_rejects_divergent_exponent():
         cs.seq_sum_integral_check(math.nan, 5)
     with pytest.raises(ValueError, match="alpha must be finite"):
         cs.seq_sum_integral_check(math.inf, 5)
+    # a fractional M would sum n = M, M + 1, ... but report int(M)
+    with pytest.raises(ValueError, match="M must be an integer"):
+        cs.seq_sum_integral_check(2.0, 2.5)
+    assert cs.seq_sum_integral_check(2.0, np.int64(5)).M == 5
 
 
 # ------------------------------------------------------------ asymptotic_ratio
