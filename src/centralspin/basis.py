@@ -281,7 +281,7 @@ def l2_cauchy_check(A, N: int, M: int) -> float:
     a = [float(A[k - 1]) for k in range(N + 1, M + 1)]
     if len(a) != M - N:
         raise ValueError("coupling prefix shorter than M")
-    closed = math.sqrt(math.fsum(x * x for x in a))
+    closed = math.sqrt(_fsum_counted(np.square(a)))
     j = np.arange(1 << M, dtype=np.int64)
     diff = np.zeros(1 << M, dtype=np.float64)
     for k in range(N + 1, M + 1):

@@ -36,31 +36,29 @@ Upper bounds must use a *lower* estimate of r_pack and lower bounds an
 structural packing radius; the one rule, shared with the annulus checks)
 for upper bounds and ``r_cover + probe_resolution`` for lower bounds.
 
-Every finite sum goes through ``_fsum_counted(x, counts)``, which returns,
-bit for bit, ``math.fsum`` of the partial sums that ``math.fsum`` gives
-over the 4096-term chunks of ``np.repeat(x, counts)``.  Per-site terms
-(no ``counts``) are summed chunk by chunk with ``math.fsum`` as they stand.
-A tail sum passes each radial shell once, with its site count; the
-exactness chain of that counted sum:
+Every finite sum goes through ``_fsum_counted(x, counts)``, which returns
+the exact sum of ``counts[i]`` copies of each ``x[i]``, rounded once: its
+error is at most half an ulp, and it does not depend on the order of the
+terms.  Per-site terms (no ``counts``) go to ``math.fsum``, which meets the
+same contract.  A tail sum passes each radial shell once, with its site
+count; the exactness chain of that counted sum (R. M. Neal, "Fast exact
+summation using small and large superaccumulators", arXiv:1505.05571):
 
 1. each term is m * 2^(e - 53) (``np.frexp``) with m an integer,
    |m| < 2^53, split into halves m = hi * 2^26 + lo with |hi| < 2^27,
    |lo| < 2^26;
-2. a shell's sites within one chunk number c <= 4096, so c * hi and c * lo
-   are exact, and ``np.bincount`` adds them per (chunk, binary exponent)
-   bin with every partial sum below 4096 * 2^27 = 2^39 < 2^53: exact;
-3. a chunk's bins, shifted into one Python ``int``, are its exact total,
-   and ``int / int`` (or ``float(int)``) rounds it once, correctly; so does
-   ``math.fsum``, so each chunk partial is the float ``math.fsum`` returns
-   for that chunk (an exact zero takes the sign ``math.fsum`` gives the
-   chunk's zeros);
-4. ``math.fsum`` adds the chunk partials, as before.
+2. with at most 2^26 sites in all, c * hi and c * lo are exact for a
+   shell of c sites, and ``np.bincount`` adds them per binary exponent,
+   one bin set per half, with every partial sum below 2^26 * 2^27 = 2^53:
+   exact;
+3. the two bin sets, added as 64-bit integers and shifted into one
+   Python ``int``, are the exact total, and ``int / int`` (or
+   ``float(int)``) rounds it once, correctly.
 
-The arithmetic error of a reported value is therefore a few ulps, dominated
-by the certified tail term everywhere.  The 4096 chunking stays although a
-single correctly rounded sum of all terms would be simpler and no less
-accurate: it would move the last bits of recorded artifacts, so it belongs
-with a change of the certification contract.
+An exact zero is -0.0 only when every term held (count > 0) is -0.0, and
++0.0 otherwise, an empty sum included.  The arithmetic error of a reported
+value is therefore half an ulp of the window sum, dominated by the
+certified tail term everywhere.
 """
 
 from __future__ import annotations
@@ -84,9 +82,8 @@ __all__ = [
     "asymptotic_ratio",
 ]
 
-_CHUNK_BITS = 12
-_FSUM_CHUNK = 1 << _CHUNK_BITS  # terms per math.fsum chunk
 _HALF = 26  # bits in the low half of a 53-bit mantissa
+_MAX_SITES = 1 << _HALF  # keeps every exponent bin below 2^53: exact
 
 
 @dataclass(frozen=True)
@@ -160,85 +157,57 @@ def integral_tail(alpha: float, d: int, r: float) -> float:
 
 
 def _fsum_counted(x: np.ndarray, counts: np.ndarray | None = None) -> float:
-    """math.fsum over 4096-term chunks of ``np.repeat(x, counts)``, then over
-    the chunk partials, bit for bit, without forming the repeated array.
+    """The exact sum of ``counts[i]`` copies of each ``x[i]``, rounded once.
 
-    Without ``counts`` each term is one site and the chunks are summed as
-    they stand.  ``counts`` (non-negative integers) may exceed a chunk;
-    temporaries are sized by ``x`` and by the number of chunks.  The
-    exactness argument is in the module docstring.  Refuses non-finite terms.
+    Without ``counts`` each term is one site.  ``counts`` are non-negative
+    integers totalling at most 2^26 sites; temporaries are sized by ``x``.
+    The exactness argument and the sign of an exact zero are in the module
+    docstring.  Refuses non-finite terms and out-of-range counts.
     """
     x = np.asarray(x, dtype=np.float64)
-    if counts is None:
-        # per-site terms are their own chunks; binning has a fixed cost of
-        # ~60 us a call, as much as math.fsum of ~1300 terms
-        total = math.fsum([math.fsum(x[i:i + _FSUM_CHUNK].tolist())
-                           for i in range(0, x.size, _FSUM_CHUNK)])
-        if not math.isfinite(total):  # finite terms give a finite fsum or raise
-            raise ValueError("cannot sum non-finite terms")
-        return total
     if not np.isfinite(x).all():
         raise ValueError("cannot sum non-finite terms")
-    if not x.size:
-        return 0.0
-    end = np.cumsum(counts, dtype=np.int64)
-    n_chunks = (int(end[-1]) + _FSUM_CHUNK - 1) >> _CHUNK_BITS
-    start = end - counts  # both non-decreasing
-    key = start >> _CHUNK_BITS  # the chunk of each term's first site
-    lo, e = np.frexp(x)
+    if counts is None:
+        total = math.fsum(x.tolist())
+    else:
+        counts = np.asarray(counts)
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError("site counts must be integers")
+        # the max is checked first, so the sum cannot wrap
+        if counts.size and (counts.min() < 0 or counts.max() > _MAX_SITES
+                            or counts.sum() > _MAX_SITES):
+            raise ValueError(f"site counts must be >= 0 and total at most "
+                             f"2^{_HALF}")
+        total = _binned_sum(x, counts) if x.size else 0.0
+    if total == 0.0:
+        held = x if counts is None else x[counts > 0]
+        return -0.0 if held.size and np.signbit(held).all() else 0.0
+    return total
+
+
+def _binned_sum(x: np.ndarray, counts: np.ndarray) -> float:
+    """Steps 1-3 of the module docstring's chain: half mantissas times
+    site counts, binned per binary exponent, shifted into one ``int`` and
+    rounded once."""
+    m, e = np.frexp(x)
     e_min = int(e.min())
     e -= e_min
-    width = int(e.max()) + 1 + _HALF  # hi halves sit _HALF places up
-    lo *= 2.0 ** (53 - _HALF)  # the integer mantissa over 2^_HALF
-    hi = np.trunc(lo)
-    lo -= hi
-    lo *= 2.0 ** _HALF
-    # rows (bin keys, lo and hi halves times the sites of the term in that
-    # chunk): each term adds to the chunk of its first site; a term whose
-    # sites run past a chunk edge keeps those before the edge there and adds
-    # one row per further chunk
-    rows, reps = [], counts
-    s = np.flatnonzero(((end - 1) >> _CHUNK_BITS) > key)
-    if s.size:
-        span = ((end[s] - 1) >> _CHUNK_BITS) - key[s]
-        t = np.repeat(s, span)
-        k = key[t] + 1 + np.arange(t.size) - np.repeat(np.cumsum(span) - span, span)
-        c = np.minimum(end[t] - (k << _CHUNK_BITS), _FSUM_CHUNK)
-        rows.append((k * width + e[t], lo[t] * c, hi[t] * c))
-        reps = counts.copy()
-        reps[s] = ((key[s] + 1) << _CHUNK_BITS) - start[s]
-    key *= width
-    key += e
-    lo *= reps
-    hi *= reps
-    rows.append((key, lo, hi))
-    size = n_chunks * width
-    lo_bins, hi_bins = np.zeros(size), np.zeros(size)
-    for k, lo_w, hi_w in rows:
-        # a zero-count term past the last site keys beyond ``size``
-        lo_bins += np.bincount(k, weights=lo_w, minlength=size)[:size]
-        hi_bins += np.bincount(k, weights=hi_w, minlength=size)[:size]
-    bins = lo_bins.reshape(n_chunks, width)
-    bins[:, _HALF:] += hi_bins.reshape(n_chunks, width)[:, :-_HALF]
-    totals = [0] * n_chunks
+    width = int(e.max()) + 1
+    m *= 2.0 ** (53 - _HALF)  # the integer mantissa over 2^_HALF
+    hi = np.trunc(m)
+    m -= hi
+    m *= 2.0 ** _HALF
+    m *= counts
+    hi *= counts
+    bins = np.zeros(width + _HALF, dtype=np.int64)
+    bins[:width] = np.bincount(e, weights=m, minlength=width)
+    bins[_HALF:] += np.bincount(e, weights=hi, minlength=width).astype(np.int64)
     nz = np.flatnonzero(bins)
-    for i, v in zip(nz.tolist(), bins.ravel()[nz].astype(np.int64).tolist()):
-        chunk, shift = divmod(i, width)
-        totals[chunk] += v << shift
+    total = 0
+    for shift, v in zip(nz.tolist(), bins[nz].tolist()):
+        total += v << shift
     scale = e_min - 53
-    parts = []
-    for chunk, total in enumerate(totals):
-        if total:
-            parts.append(total / (1 << -scale) if scale < 0
-                         else float(total << scale))
-        else:
-            # an exact zero: signed as math.fsum signs the chunk's terms
-            site = chunk << _CHUNK_BITS
-            a = int(np.searchsorted(end, site, side="right"))
-            b = int(np.searchsorted(start, site + _FSUM_CHUNK))
-            held = x[a:b][counts[a:b] > 0]
-            parts.append(0.0 if held.any() else math.fsum(held.tolist()))
-    return math.fsum(parts)
+    return total / (1 << -scale) if scale < 0 else float(total << scale)
 
 
 def _check_tail_exponent(d: int, alpha: float) -> None:
@@ -262,7 +231,7 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
     which is valid because any point of the (unseen) extension lies at
     distance >= 2 r_pack from every other, exactly as inside the window.
     Requires alpha > d and 0 <= r <= R_max.  The window sum powers each
-    radius of ``ps.shells(r)`` once (largest first, on a reversed view) and
+    radius of ``ps.shells(r)`` once, in its stored ascending order, and
     adds it with its site count; pow is elementwise, so each term is the
     per-site one.
     """
@@ -272,7 +241,7 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
         raise ValueError("need 0 <= r <= region_radius")
     rp = _certified_r_pack(ps, radii)
     rho, cnt = ps.shells(r)
-    finite = _fsum_counted(rho[::-1] ** (-alpha), cnt[::-1])
+    finite = _fsum_counted(rho ** (-alpha), cnt)
     tail_cut = ps.region_radius - rp
     if tail_cut <= 0.0:
         raise ValueError("region too small for the packing radius")
@@ -349,7 +318,7 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
     corr = alpha * (M - 1.5) ** (-alpha - 1.0) / 24.0
     N = max(2 * M, 1000)
     n = np.arange(M, N + 1, dtype=np.float64)
-    head = _fsum_counted(np.sort(n ** (-alpha)))
+    head = _fsum_counted(n ** (-alpha))
     # remainder over n >= N+1 certified recursively: it lies in
     # [tail_integral - corr(N+1), tail_integral]
     rem_int = (N + 0.5) ** (1.0 - alpha) / (alpha - 1.0)

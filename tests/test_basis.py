@@ -148,6 +148,13 @@ def test_cauchy_tail_norm_closed_form():
     harmonic = [1.0 / k for k in range(1, 21)]
     want = math.sqrt(sum(1.0 / k ** 2 for k in range(11, 21)))
     assert abs(cs.l2_cauchy_check(harmonic, 10, 20) - want) < 1e-14
+    # the closed form is the square root of a correctly rounded sum of
+    # squares: pinned to the floats that math.fsum over x * x gives
+    geometric = [3.0 ** -k for k in range(1, 21)]
+    assert cs.l2_cauchy_check(A, 2, 4) == 0.13975424859373686
+    assert cs.l2_cauchy_check(harmonic, 10, 20) == 0.21539617625780322
+    assert cs.l2_cauchy_check(harmonic, 0, 12) == 1.2509902631199423
+    assert cs.l2_cauchy_check(geometric, 1, 20) == 0.11785113019775792
 
 
 def test_cauchy_rejects_bad_ranges():

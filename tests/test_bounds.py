@@ -1,6 +1,7 @@
 """Certified tail sums, integral sandwiches, and midpoint comparisons."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -87,23 +88,25 @@ def test_tail_sum_interval_sits_on_the_window_sum(grid_sets):
     assert got.hi > finite
 
 
-def _chunked_fsum(x, counts=None):
-    """The per-site reference: math.fsum over 4096-term chunks of the
-    repeated array, then over the chunk partials."""
-    y = np.repeat(x, counts) if counts is not None else np.asarray(x)
-    if y.size <= 4096:
-        return math.fsum(y.tolist())
-    return math.fsum([math.fsum(y[i:i + 4096].tolist())
-                      for i in range(0, y.size, 4096)])
+def _exact_sum(x, counts=None):
+    """The oracle: the exact rational sum of the repeated terms, rounded
+    once; an exact zero is -0.0 only when every term held is -0.0."""
+    x = np.asarray(x, dtype=np.float64).tolist()
+    c = [1] * len(x) if counts is None else np.asarray(counts).tolist()
+    held = [(v, k) for v, k in zip(x, c) if k > 0]
+    total = float(sum((Fraction(v) * k for v, k in held), Fraction(0)))
+    if total == 0.0 and held and all(math.copysign(1.0, v) < 0 for v, _ in held):
+        return -0.0
+    return total
 
 
 def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def test_counted_sum_equals_the_per_site_chunked_fsum():
-    # shells added once with their site counts give, bit for bit, the float
-    # that math.fsum gives over 4096-site chunks of the repeated terms
+def test_counted_sum_is_the_exact_sum_rounded_once():
+    # shells added once with their site counts give the exact sum of the
+    # repeated terms, rounded once, whatever the order of the terms
     sets = [cs.gen_lattice(1, 3000.0), cs.gen_lattice(2, 40.0),
             cs.gen_lattice(3, 12.0), cs.gen_jittered(2, 30.0, 0.2, seed=5),
             cs.gen_poisson_disk(2, 20.0, 0.8, seed=3)]
@@ -111,20 +114,28 @@ def test_counted_sum_equals_the_per_site_chunked_fsum():
         for r in (0.0, float(ps.radii[ps.n_points // 3]), ps.region_radius):
             rho, cnt = ps.shells(r)
             for alpha in (2.5, 7.0):
-                x = rho[::-1] ** (-alpha)
-                assert _same_float(bounds._fsum_counted(x, cnt[::-1]),
-                                   _chunked_fsum(x, cnt[::-1]))
+                x = rho ** (-alpha)
+                got = bounds._fsum_counted(x, cnt)
+                assert _same_float(got, _exact_sum(x, cnt))
+                assert _same_float(bounds._fsum_counted(x[::-1], cnt[::-1]), got)
+    # exact sums pinned; math.fsum over 4096-site chunks, largest first,
+    # gives 13.251247540666155 in place of the first
+    z2 = sets[1].shells(0.0)
+    z3 = sets[2].shells(float(sets[2].radii[sets[2].n_points // 3]))
+    assert bounds._fsum_counted(z2[0] ** -2.5, z2[1]) == 13.251247540666153
+    assert bounds._fsum_counted(z2[0] ** -7.0, z2[1]) == 4.423117775396062
+    assert bounds._fsum_counted(z3[0] ** -7.0, z3[1]) == 0.002494757166321473
     rng = np.random.default_rng(11)
     x = rng.uniform(0.5, 2.0, 5000) * 10.0 ** rng.integers(-30, 30, 5000)
-    # 4096 to 4098 sites in all; shells of 3 straddle every chunk edge
+    # 4096 to 4098 sites in all, in shells of 1 to 3 sites
     cases = [np.full(2048, 2), np.full(4097, 1), np.full(2049, 2),
              np.array([3] * 1365 + [1]), np.array([3] * 1365 + [2])]
     for c in cases:
         xs = x[:c.size]
-        assert _same_float(bounds._fsum_counted(xs, c), _chunked_fsum(xs, c))
-    # one hand-built shell of more sites than a chunk, between two others
+        assert _same_float(bounds._fsum_counted(xs, c), _exact_sum(xs, c))
+    # one hand-built shell of 9000 sites, between two others
     x3, c3 = np.array([0.1, 1.0 / 3.0, 0.7]), np.array([5, 9000, 3])
-    assert _same_float(bounds._fsum_counted(x3, c3), _chunked_fsum(x3, c3))
+    assert _same_float(bounds._fsum_counted(x3, c3), _exact_sum(x3, c3))
     # signed, zero and subnormal terms, as the basis callers pass them
     tiny = 5e-324 * rng.integers(-1000, 1000, 9000)
     signed = rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000)
@@ -133,15 +144,16 @@ def test_counted_sum_equals_the_per_site_chunked_fsum():
     for xs in (tiny, signed, -signed, np.full(5000, -0.0), np.zeros(3),
                np.sign(rng.standard_normal(8193)), np.array([1.0, -1.0]),
                np.array([]), np.concatenate([np.full(4096, -0.0), [1.5]])):
-        assert _same_float(bounds._fsum_counted(xs), _chunked_fsum(xs))
+        assert _same_float(bounds._fsum_counted(xs), _exact_sum(xs))
         counts = rng.integers(0, 3, xs.size)
         assert _same_float(bounds._fsum_counted(xs, counts),
-                           _chunked_fsum(xs, counts))
-    # alternating signs, as fourier_coeff(14, 0) sums them: every chunk is an
-    # exact zero, and each one's sign reads only the terms it holds
+                           _exact_sum(xs, counts))
+    assert _same_float(bounds._fsum_counted(np.full(5000, -0.0)), -0.0)
+    # alternating signs over 2^14 terms, as fourier_coeff(14, 0) sums them:
+    # an exact zero, and +0.0 because not every term is -0.0
     alt = np.tile([-1.0, 1.0], 1 << 13)
-    for c in (np.ones(alt.size, dtype=np.int64), np.full(alt.size, 3)):
-        assert _same_float(bounds._fsum_counted(alt, c), _chunked_fsum(alt, c))
+    for c in (None, np.ones(alt.size, dtype=np.int64), np.full(alt.size, 3)):
+        assert _same_float(bounds._fsum_counted(alt, c), 0.0)
     with pytest.raises(ValueError, match="non-finite"):
         bounds._fsum_counted(np.array([1.0, math.inf, 2.0]), np.array([1, 1, 1]))
     for bad in ([1.0, math.inf], [math.nan, 2.0], [math.inf, -math.inf]):
@@ -149,10 +161,36 @@ def test_counted_sum_equals_the_per_site_chunked_fsum():
             bounds._fsum_counted(np.array(bad))
 
 
+_finite = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@given(terms=st.lists(st.tuples(_finite, st.integers(0, 1000)), max_size=60))
+def test_counted_sum_matches_the_exact_oracle_on_random_terms(terms):
+    x = np.array([v for v, _ in terms], dtype=np.float64)
+    c = np.array([k for _, k in terms], dtype=np.int64)
+    assert _same_float(bounds._fsum_counted(x, c), _exact_sum(x, c))
+    assert _same_float(bounds._fsum_counted(x), _exact_sum(x))
+
+
+def test_counted_sum_refuses_counts_beyond_the_exact_range():
+    # every exponent bin stays below 2^53 only up to 2^26 sites in all; the
+    # largest mantissa half (2^27 - 1) times 2^26 sites is still exact
+    x = np.array([np.nextafter(1.0, 0.0)])
+    edge = np.array([1 << 26])
+    assert bounds._fsum_counted(x, edge) == _exact_sum(x, edge)
+    assert bounds._fsum_counted(-x, edge) == -_exact_sum(x, edge)
+    for bad in (np.array([(1 << 26) + 1]), np.array([1 << 25, (1 << 25) + 1]),
+                np.array([-1]), np.array([2, -1])):
+        with pytest.raises(ValueError, match="2\\^26"):
+            bounds._fsum_counted(np.resize(x, bad.size), bad)
+    with pytest.raises(ValueError, match="integers"):
+        bounds._fsum_counted(x, np.array([1.5]))
+
+
 def test_tail_sum_matches_a_fresh_sort_at_every_cut():
     # the finite sum reads the shells of the once-sorted radii beyond r; it
-    # must add the same terms in the same order as sorting the selection
-    # afresh, also when r equals a radius (|p| >= r is closed) or cuts nothing
+    # must hold the same terms as the selection made afresh, also when r
+    # equals a radius (|p| >= r is closed) or cuts nothing
     ps = cs.gen_jittered(2, 12.0, 0.2, seed=5)
     lat = cs.gen_lattice(2, 12.0)
     for pset in (ps, lat):
@@ -161,8 +199,7 @@ def test_tail_sum_matches_a_fresh_sort_at_every_cut():
         for alpha in (2.5, 4.0):
             for r in (0.0, 1.0, 2.0, float(rr[17]), 7.3, float(rr.max()), 12.0):
                 got = cs.delone_tail_sum(pset, radii, alpha, r)
-                sel = rr[rr >= r]
-                finite = _chunked_fsum(np.sort(sel)[::-1] ** (-alpha))
+                finite = _exact_sum(rr[rr >= r] ** (-alpha))
                 assert got.value == finite + got.err
     assert ps.shells(7.3)[0].base is ps.shells(0.0)[0].base  # sorted once, then cached
 
@@ -233,7 +270,8 @@ def test_sandwich_property_on_the_plane(grid_sets, alpha_off, frac):
 
 def test_midpoint_comparison_certifies_across_parameters():
     for alpha in (1.5, 2.0, 3.0, 4.5):
-        for M in (2, 5, 10, 100):
+        # M = 5000 sums its 5001 head terms (to N = 2M) in one rounding
+        for M in (2, 5, 10, 100, 5000):
             rep = cs.seq_sum_integral_check(alpha, M)
             assert rep.holds, (alpha, M)
             assert math.isclose(
