@@ -21,9 +21,12 @@ prod cos(t/3^k) is the characteristic function of D(uniform).
 
 Conventions
 -----------
-A product is truncated at depth K, with base^K >= |t| and base^K below
-2^1023, and evaluated at the float t.  With u = 2^-53 and n the number of
-factors that are not exactly 1.0,
+``CosProduct(base, depth).evaluate(t)`` (tol = inf) and
+``cos_product(base, t, tol)`` (depth = 1) take a float or an array of times
+and return ``(value, err)``, float64 arrays of t's shape, by one depth
+rule: K is the least depth >= max(depth, ceil(log |t| / log b), 1) whose
+tail (below) is <= tol, capped at the last power of base below
+2^1023.  With u = 2^-53 and n the number of factors that are not 1.0,
 
     |value - C(t)| <= err = min(2, s + (|value| + s) expm1(tail)),
     s = 4u |t| / (b - 1) + n u / (1 - n u) |value|,
@@ -43,6 +46,15 @@ so s >= 2.  Left outside err: the libm error of cos and pow (assumptions
 about numpy's kernels) and underflow.  Bases above 2^53 are refused, so b
 is exact.
 
+Grid values and errs are bit for bit those of one-element calls: rows go
+through blocks of at most 2^18 factors, factors past a row's K are exactly
+1.0, and np.multiply.reduce(axis=1) multiplies each row in order.  The
+primitives stay scalar where numpy's vector forms move bits (x86-64, numpy
+2.4.6): the tail's b^K is Python's float ** int (numpy's pow, used for the
+divisors, differs at 31 of 645 base-3 exponents), expm1 is math.expm1
+(np.expm1 differs on 1% of tails), and the depth rule takes math.log per
+time (np.log differs at 33 of 200,000 times).
+
 Digit manipulations for the Cantor function and D-map run in exact
 rational arithmetic (fractions.Fraction), so the only float rounding is in
 the final cast; Monte-Carlo sampling uses the counter generator keyed on
@@ -59,7 +71,6 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import counter_uniform_open
-from .bounds import CertifiedValue
 
 __all__ = [
     "L_ORACLE",
@@ -79,6 +90,8 @@ L_ORACLE = 0.46627457895504917055732477549818
 # truncation tolerance and float slack of the identity checks
 _TOL = 1e-12
 _EPS = 2.0 ** -53  # unit roundoff
+# factors per block of product rows, as in ramsey
+_BLOCK = 1 << 18
 # binary digits of each sample that char_function_check maps through D
 _CHAR_DEPTH = 50
 
@@ -88,87 +101,92 @@ def _check_base(base: int) -> None:
         raise ValueError("base must be an integer in [2, 2^53]")
 
 
-def _min_depth(base: int, t: float) -> int:
-    """A depth K >= 1 with base^K >= |t|, so every dropped argument is < 1."""
-    if not math.isfinite(t):
+def _product(base: int, t, depth: int,
+             tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(value, err) of C(t) per time of ``t``, by the module's depth rule."""
+    t = np.asarray(t, dtype=np.float64)
+    flat = t.ravel()
+    if not np.all(np.isfinite(flat)):
         raise ValueError("t must be finite")
-    at = abs(t)
-    if at < 1.0:
-        return 1
-    return max(1, int(math.ceil(math.log(at) / math.log(base))))
-
-
-def _max_depth(base: int) -> int:
-    """The deepest K with base^K below 2^1023 (up to the rounding of log2)."""
-    return int(1023 / math.log2(base))
-
-
-def _log_tail(base: int, t: float, k: int) -> float:
-    """sum_{j > k} (t / base^j)^2, the bound on -log of the dropped factors."""
     b = float(base)
-    q = t / b ** k
-    return q * q / (b * b - 1.0)
+    k_max = int(1023 / math.log2(base))
+    # ceil(log_base |t|), at least 1: every dropped argument is then < 1
+    k = np.array([1 if at < 1.0 else
+                  max(1, math.ceil(math.log(at) / math.log(base)))
+                  for at in np.abs(flat).tolist()], dtype=np.int64)
+    k = np.clip(k, min(depth, k_max), k_max)
+    powers = [b ** j for j in range(int(k.max(initial=1)) + 1)]
+    q = flat / np.take(powers, k)
+    while np.any(deeper := (k < k_max) & (q * q / (b * b - 1.0) > tol)):
+        k += deeper
+        if k.max() == len(powers):
+            powers.append(b ** len(powers))
+        q = flat / np.take(powers, k)
+    tail = q * q / (b * b - 1.0)
+    value = np.empty(flat.size)
+    n = np.empty(flat.size, dtype=np.int64)
+    rows = max(1, _BLOCK // int(k.max(initial=1)))
+    for i in range(0, flat.size, rows):
+        kb = k[i:i + rows]
+        width = int(kb.max())
+        divisors = np.float64(base) ** np.arange(1, width + 1)
+        factors = np.cos(flat[i:i + rows, None] / divisors)
+        factors[np.arange(width) >= kb[:, None]] = 1.0
+        value[i:i + rows] = np.multiply.reduce(factors, axis=1)
+        n[i:i + rows] = np.count_nonzero(factors != 1.0, axis=1)
+    s = (4.0 * _EPS * np.abs(flat) / (base - 1.0)
+         + n * _EPS / (1.0 - n * _EPS) * np.abs(value))
+    grow = np.array([math.expm1(x) for x in tail.tolist()])
+    err = np.minimum(2.0, s + (np.abs(value) + s) * grow)
+    return value.reshape(t.shape), err.reshape(t.shape)
 
 
 @dataclass(frozen=True)
 class CosProduct:
-    """Truncated product prod_{k=1..K} cos(t / base^k) with certified error.
-
-    K is ``depth``, raised where needed so that every dropped argument is
-    below 1, which the tail bound requires, and lowered to at most the
-    deepest power of ``base`` below 2^1023.
-    """
+    """Truncated product prod_{k=1..K} cos(t / base^k) with certified error,
+    K the integer ``depth`` as the module's depth rule raises and caps it."""
 
     base: int
     depth: int
 
     def __post_init__(self) -> None:
         _check_base(self.base)
-        if not self.depth >= 1:
-            raise ValueError("depth must be >= 1")
+        if not (isinstance(self.depth, int) and self.depth >= 1):
+            raise ValueError("depth must be an integer >= 1")
 
-    def evaluate(self, t: float) -> CertifiedValue:
-        """Certified C(t) by the module's error chain."""
-        t = float(t)
-        k = min(max(self.depth, _min_depth(self.base, t)),
-                _max_depth(self.base))
-        args = t / np.float64(self.base) ** np.arange(1, k + 1)
-        factors = np.cos(args)
-        value = float(factors.prod())
-        n = int(np.count_nonzero(factors != 1.0))
-        s = (4.0 * _EPS * abs(t) / (self.base - 1.0)
-             + n * _EPS / (1.0 - n * _EPS) * abs(value))
-        tail = _log_tail(self.base, t, k)
-        err = min(2.0, s + (abs(value) + s) * math.expm1(tail))
-        return CertifiedValue(value=value, err=err)
+    def evaluate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Certified C(t) as (value, err) arrays of t's shape."""
+        return _product(self.base, t, self.depth, math.inf)
 
 
-def cos_product(base: int, t: float, tol: float) -> CertifiedValue:
-    """C(t) = prod cos(t / base^k) truncated at the least depth whose
-    log-tail bound is <= tol, or at the deepest power below 2^1023."""
+def cos_product(base: int, t, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certified C(t) as (value, err) arrays of t's shape, truncated at the
+    least depth whose tail is <= tol, capped at the last power below 2^1023."""
     _check_base(base)
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
-    t = float(t)
-    k, k_max = _min_depth(base, t), _max_depth(base)
-    while k < k_max and _log_tail(base, t, k) > tol:
-        k += 1
-    return CosProduct(base, depth=k).evaluate(t)
+    return _product(base, t, 1, tol)
 
 
-def recursion_check(base: int, t: float) -> bool:
-    """Check the reindexing identity C(base * t) = cos(t) * C(t).
+def recursion_check(base: int, t) -> np.ndarray:
+    """Check the reindexing identity C(base * t) = cos(t) * C(t) per time.
 
     Both sides are evaluated with certified error; the identity must hold
     within the combined certificates plus 1e-12 of float slack.  A finite
     ``t`` whose ``base * t`` overflows is refused.
     """
-    if math.isfinite(t) and not math.isfinite(base * t):
-        raise ValueError(f"base * t overflows at base={base}, t={t!r}")
-    lhs = cos_product(base, base * t, _TOL)
-    rhs = cos_product(base, t, _TOL)
-    ct = math.cos(t)
-    return abs(lhs.value - ct * rhs.value) <= lhs.err + abs(ct) * rhs.err + _TOL
+    _check_base(base)
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        bt = base * t
+    over = np.isfinite(t) & ~np.isfinite(bt)
+    if over.any():
+        raise ValueError(f"base * t overflows at base={base}, "
+                         f"t={float(t[over][0])!r}")
+    lhs, lhs_err = cos_product(base, bt, _TOL)
+    rhs, rhs_err = cos_product(base, t, _TOL)
+    ct = np.cos(t)
+    return np.abs(lhs - ct * rhs) <= lhs_err + np.abs(ct) * rhs_err + _TOL
 
 
 def persistent_oscillation(base: int, i_max: int) -> list[tuple[int, float]]:
@@ -188,23 +206,19 @@ def persistent_oscillation(base: int, i_max: int) -> list[tuple[int, float]]:
         raise ValueError("base must be >= 3 (base 2 hits cos(pi/2) = 0)")
     if not (0 <= i_max <= 12):
         raise ValueError("need 0 <= i_max <= 12")
-    c_pi = cos_product(base, math.pi, _TOL)
-    out: list[tuple[int, float]] = []
-    for i in range(i_max + 1):
-        if base % 2 == 1:
-            sign = -1.0 if i % 2 == 1 else 1.0
-        else:
-            sign = -1.0 if i >= 1 else 1.0
-        val = sign * c_pi.value
-        t_i = float(base ** i) * math.pi
-        direct = cos_product(base, t_i, _TOL)
-        slack = t_i * 1e-15 + _TOL
-        if abs(direct.value - val) > direct.err + c_pi.err + slack:
-            raise AssertionError(
-                f"oscillation value at i={i} disagrees with direct "
-                f"evaluation: {val!r} vs {direct.value!r}")
-        out.append((i, val))
-    return out
+    i = np.arange(i_max + 1)
+    t_i = np.array([float(base ** j) * math.pi for j in i.tolist()])
+    direct, err = cos_product(base, t_i, _TOL)  # direct[0] is C(pi)
+    flips = i % 2 == 1 if base % 2 == 1 else i >= 1
+    vals = np.where(flips, -direct[0], direct[0])
+    slack = t_i * 1e-15 + _TOL
+    bad = np.flatnonzero(np.abs(direct - vals) > err + err[0] + slack)
+    if bad.size:
+        j = bad[0]
+        raise AssertionError(
+            f"oscillation value at i={j} disagrees with direct "
+            f"evaluation: {float(vals[j])!r} vs {float(direct[j])!r}")
+    return [(j, float(v)) for j, v in enumerate(vals)]
 
 
 def cantor_function(y: float | Fraction, depth: int = 60) -> float:
@@ -293,6 +307,8 @@ def char_function_check(n_samples: int, t_list, seed: int) -> CharFunctionReport
     if n_samples < 10 ** 4:
         raise ValueError("need n_samples >= 10^4 for the 4/sqrt(n) tolerance")
     t_arr = np.asarray(t_list, dtype=np.float64).ravel()
+    if t_arr.size == 0:
+        raise ValueError("t_list must hold at least one time")
     if not np.all(np.abs(t_arr) <= 50.0):
         raise ValueError("|t| must be <= 50")
     idx = np.arange(n_samples, dtype=np.int64)
@@ -305,15 +321,10 @@ def char_function_check(n_samples: int, t_list, seed: int) -> CharFunctionReport
         sgn = 2.0 * bit.astype(np.float64) - 1.0
         x_val = (x_val + sgn) / 3.0
     x_val += 0.5
-    emp = np.empty(t_arr.size, dtype=np.complex128)
-    ref = np.empty(t_arr.size, dtype=np.complex128)
-    tol_arr = np.empty(t_arr.size, dtype=np.float64)
-    mc_tol = 4.0 / math.sqrt(n_samples)
-    for i, t in enumerate(t_arr):
-        emp[i] = np.exp(1j * t * x_val).mean()
-        c = cos_product(3, float(t), 1e-14)
-        ref[i] = np.exp(0.5j * t) * c.value
-        tol_arr[i] = mc_tol + c.err
+    emp = np.array([np.exp(1j * t * x_val).mean() for t in t_arr])
+    c, c_err = cos_product(3, t_arr, 1e-14)
+    ref = np.exp(0.5j * t_arr) * c
+    tol_arr = 4.0 / math.sqrt(n_samples) + c_err
     holds = np.abs(emp - ref) <= tol_arr
     return CharFunctionReport(t=t_arr, empirical=emp, reference=ref,
                               tolerance=tol_arr, holds=holds)

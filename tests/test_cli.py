@@ -139,12 +139,15 @@ def test_bad_arguments_exit_two(tmp_path, monkeypatch, capsys):
     assert res.returncode == 2
     res = run_cli(cwd=tmp_path)
     assert res.returncode == 2
-    # time grids that build nothing are refused, not a traceback or one row
+    # grids and sample counts that build nothing are refused, not a
+    # traceback or a header-only CSV
     monkeypatch.chdir(tmp_path)
     for argv in (["ramsey", "--dt", "0"], ["spectra", "product", "--dt", "0"],
                  ["spectra", "product", "--dt", "-1"],
                  ["spectra", "product", "--tmax", "-1"],
                  ["spectra", "product", "--tmax", "nan"],
+                 ["spectra", "cantor", "--n", "-5"],
+                 ["spectra", "cantor", "--n", "0"],
                  ["ramsey", "--dt", "inf"]):
         assert cli.run(argv + ["--out", "x.csv"]) == 2, argv
         assert capsys.readouterr().err.startswith("error: --"), argv

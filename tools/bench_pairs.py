@@ -17,7 +17,8 @@ each import compiles afresh on both sides.
 
 The output JSON holds, per workload and end-to-end metric, each side's
 median and quartiles (linear interpolation, as ``numpy.percentile``) and
-the number of pairs in which the change read lower or higher; the traced
+the number of pairs in which the change read better or worse, in the
+direction that metric's ``better`` field of BENCHMARK.json gives; the traced
 pair's per-layer metrics; every run's iteration count next to its
 ``peak_rss_mb``; and the last two stdout lines of every run.  The file is
 rewritten after each run, so an interrupted batch keeps what it measured.
@@ -35,6 +36,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def directions(path: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
+    """Each declared metric's ``better`` direction, "lower" or "higher"."""
+    spec = json.loads(path.read_text())
+    return {m["name"]: m["better"]
+            for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
@@ -58,8 +67,13 @@ def spread(values: list[float]) -> dict:
             "n": len(values)}
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per workload and metric: each side's spread and the pairs won."""
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: each side's spread and the pairs won.
+
+    A pair is won when the change reads better than the parent in the
+    metric's ``better`` direction, and lost when it reads worse; ties count
+    for neither.  A metric with no declared direction is refused.
+    """
     out = {}
     for r in runs:
         if r["trace"]:
@@ -77,10 +91,14 @@ def summarize(runs: list[dict]) -> dict:
             par = [by_side["parent"][i] for i in common]
             chg = [by_side["change"][i] for i in common]
             pm, cm = statistics.median(par), statistics.median(chg)
+            sign = {"lower": 1, "higher": -1}[better[name]]
             w[name] = {
                 "parent": spread(par), "change": spread(chg),
-                "change_lower_in_pairs": sum(c < p for p, c in zip(par, chg)),
-                "change_higher_in_pairs": sum(c > p for p, c in zip(par, chg)),
+                "better": better[name],
+                "change_better_in_pairs":
+                    sum(sign * c < sign * p for p, c in zip(par, chg)),
+                "change_worse_in_pairs":
+                    sum(sign * c > sign * p for p, c in zip(par, chg)),
                 "ratio_of_medians": cm / pm if pm else None,
             }
     return out
@@ -130,6 +148,7 @@ def main() -> int:
             schedule.append((w, seed, pair, 0, SIDES[pair % 2]))
         if args.trace_seed is not None:
             schedule.append((w, args.trace_seed, 0, 1, "parent"))
+    better = directions()
     runs = []
     for w, seed, pair, trace, first in schedule:
         order = SIDES if first == "parent" else SIDES[::-1]
@@ -148,7 +167,7 @@ def main() -> int:
                              "workloads": args.workloads,
                              "env": {"PYTHONDONTWRITEBYTECODE": "1"},
                              "quartiles": "linear interpolation"},
-                "summary_untraced": summarize(runs),
+                "summary_untraced": summarize(runs, better),
                 "traced_per_layer": traced(runs),
                 "iterations": iterations(runs),
                 "runs": runs,
@@ -160,7 +179,8 @@ def main() -> int:
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  "
                   f"change {s['change']['median']:.6g} "
                   f"[{s['change']['q1']:.6g}, {s['change']['q3']:.6g}]  "
-                  f"lower in {s['change_lower_in_pairs']}/{s['parent']['n']}")
+                  f"{s['better']} (better) in "
+                  f"{s['change_better_in_pairs']}/{s['parent']['n']}")
     return 0
 
 
