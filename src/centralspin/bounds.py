@@ -219,7 +219,7 @@ def _check_tail_exponent(d: int, alpha: float) -> None:
         raise ValueError("tail sum diverges unless alpha > d")
 
 
-def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
+def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
                     r: float) -> CertifiedValue:
     """Certified S(r) = sum over |p| >= r of |p|^(-alpha).
 
@@ -234,12 +234,16 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
     radius of ``ps.shells(r)`` once, in its stored ascending order, and
     adds it with its site count; pow is elementwise, so each term is the
     per-site one.
+
+    ``radii`` is accepted and not read: the packing radius is the set's own
+    (``_certified_r_pack``).  Callers in this package pass ``None``; the
+    argument goes when the benchmark's calls drop it.
     """
     d = ps.dim
     _check_tail_exponent(d, alpha)
     if not (0.0 <= r <= ps.region_radius):
         raise ValueError("need 0 <= r <= region_radius")
-    rp = _certified_r_pack(ps, radii)
+    rp = _certified_r_pack(ps)
     rho, cnt = ps.shells(r)
     finite = _fsum_counted(rho ** (-alpha), cnt)
     tail_cut = ps.region_radius - rp
@@ -250,15 +254,14 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii, alpha: float,
     return CertifiedValue(value=finite + 0.5 * tail, err=0.5 * tail)
 
 
-def _required_r_max(ps: PointSet, radii: DeloneRadii, alpha: float,
-                    target_tail: float) -> float:
+def _required_r_max(ps: PointSet, alpha: float, target_tail: float) -> float:
     """Window radius making the tail certificate of S(r) <= target_tail.
 
     Inverts the tail bound of ``delone_tail_sum`` at the same exponent and
     packing radius, so the suggested radius meets the bound that refused.
     """
     d = ps.dim
-    rp = _certified_r_pack(ps, radii)
+    rp = _certified_r_pack(ps)
     # invert tail(R) = 3^d d / rp^d * T(alpha, d, R - rp) = target
     t_int = target_tail * rp ** d / ((3.0 ** d) * d)
     return rp + ((alpha - d) * t_int) ** (1.0 / (d - alpha))
@@ -271,14 +274,15 @@ def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float,
     lower = d/(3^d rc^d) * T(alpha, d, r + rc) with rc = r_cover upper
     estimate, upper = 3^d d/rp^d * T(alpha, d, r - rp) with rp the
     certified packing radius; both must bracket the certified sum
-    (including its own tail uncertainty).
+    (including its own tail uncertainty).  ``radii`` is read only for
+    ``r_cover_upper``; rp is the set's own.
     """
     d = ps.dim
-    rp = _certified_r_pack(ps, radii)
+    rp = _certified_r_pack(ps)
     rc = radii.r_cover_upper
     if r < 3.0 * rc:
         raise ValueError("sandwich requires r >= 3 * r_cover")
-    s = delone_tail_sum(ps, radii, alpha, r)
+    s = delone_tail_sum(ps, None, alpha, r)
     lower = d / ((3.0 ** d) * rc ** d) * integral_tail(alpha, d, r + rc)
     upper = (3.0 ** d) * d / rp ** d * integral_tail(alpha, d, r - rp)
     holds = (lower <= s.hi) and (s.lo <= upper)

@@ -61,21 +61,20 @@ def _write_json(path: str, args, params: dict | None = None, **fields) -> None:
 _RAMSEY_RMAX = {1: 1.0e6, 2: 200.0, 3: 60.0}
 
 
-def _build_set(args) -> tuple[pointsets.PointSet, pointsets.DeloneRadii]:
-    pointsets._check_margin(args.margin)
+def _build_set(args) -> pointsets.PointSet:
     if args.rmax is None:
         args.rmax = _RAMSEY_RMAX[args.dim]
     if args.set == "lattice":
-        ps = pointsets.gen_lattice(args.dim, args.rmax)
-    elif args.set == "jitter":
-        ps = pointsets.gen_jittered(args.dim, args.rmax, args.jitter, args.seed)
-    else:
-        ps = pointsets.gen_poisson_disk(args.dim, args.rmax, args.rmin, args.seed)
-    return ps, pointsets.measure_radii(ps, margin=args.margin)
+        return pointsets.gen_lattice(args.dim, args.rmax)
+    if args.set == "jitter":
+        return pointsets.gen_jittered(args.dim, args.rmax, args.jitter, args.seed)
+    return pointsets.gen_poisson_disk(args.dim, args.rmax, args.rmin, args.seed)
 
 
 def _add_set_flags(p: argparse.ArgumentParser,
-                   default_rmax: float | None) -> None:
+                   default_rmax: float | None, margin: bool) -> None:
+    """The point-set flags; ``margin`` adds ``--margin`` for the subcommands
+    that measure radii."""
     p.add_argument("--dim", type=int, default=1, choices=(1, 2, 3))
     p.add_argument("--set", choices=("lattice", "jitter", "poisson"),
                    default="lattice")
@@ -86,9 +85,10 @@ def _add_set_flags(p: argparse.ArgumentParser,
                    help="jitter amplitude eta for --set jitter")
     p.add_argument("--rmin", type=float, default=1.0,
                    help="hard-core distance for --set poisson")
-    p.add_argument("--margin", type=float, default=0.0,
-                   help="shrink the covering-radius probe domain to "
-                        "|q| <= rmax - margin")
+    if margin:
+        p.add_argument("--margin", type=float, default=0.0,
+                       help="shrink the covering-radius probe domain to "
+                            "|q| <= rmax - margin")
 
 
 def _time_grid(args) -> np.ndarray:
@@ -100,7 +100,9 @@ def _time_grid(args) -> np.ndarray:
 
 
 def _cmd_points(args) -> int:
-    ps, radii = _build_set(args)
+    pointsets._check_margin(args.margin)
+    ps = _build_set(args)
+    radii = pointsets.measure_radii(ps, margin=args.margin)
     _write_csv(args.out, [f"x{i + 1}" for i in range(ps.dim)],
                list(ps.points.T))
     _write_json(args.out + ".json", args, n_points=ps.n_points, meta=ps.meta,
@@ -112,7 +114,9 @@ def _cmd_bounds(args) -> int:
     if args.alpha is None:
         args.alpha = float(args.dim + 1)
     bounds_mod._check_tail_exponent(args.dim, args.alpha)
-    ps, radii = _build_set(args)
+    pointsets._check_margin(args.margin)
+    ps = _build_set(args)
+    radii = pointsets.measure_radii(ps, margin=args.margin)
     rows = []
     ok_all = True
     for r in args.r:
@@ -131,9 +135,9 @@ def _cmd_ramsey(args) -> int:
         args.alpha = (args.dim + 1) / 2
     times = _time_grid(args)
     ramsey._check_profile_args(args.dim, args.alpha, args.tol)
-    ps, radii = _build_set(args)
-    prof = ramsey.evaluate_profile(ps, radii, args.alpha, args.r, times,
-                                   args.tol)
+    # the profile reads only the set's own packing radius: no radii
+    prof = ramsey.evaluate_profile(_build_set(args), None, args.alpha, args.r,
+                                   times, args.tol)
     diag = ramsey.compact_bound_check(prof)
     _write_csv(args.out, ["t", "C", "err", "gauss", "bound_rhs"],
                [prof.times, prof.values, prof.err, prof.gaussian,
@@ -264,10 +268,9 @@ def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], bool]]]:
 
     def compact() -> bool:
         ps = pointsets.gen_lattice(1, 2000.0)
-        radii = pointsets.measure_radii(ps)
         times = np.arange(0.0, 6.0 + 1e-9, 0.02)
         for r in (10.0, 30.0):
-            prof = ramsey.evaluate_profile(ps, radii, 2.0, r, times, 0.1)
+            prof = ramsey.evaluate_profile(ps, None, 2.0, r, times, 0.1)
             if not ramsey.compact_bound_check(prof).envelope_ok:
                 return False
         return True
@@ -331,16 +334,14 @@ def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], bool]]]:
     def soundness() -> bool:
         ps1 = pointsets.gen_lattice(1, 500.0)
         ps2 = pointsets.gen_lattice(1, 1000.0)
-        rad1 = pointsets.measure_radii(ps1)
-        rad2 = pointsets.measure_radii(ps2)
         for alpha, r in ((1.0, 5.0), (1.5, 3.0), (2.0, 8.0)):
-            a = bounds_mod.delone_tail_sum(ps1, rad1, 2 * alpha, r)
-            b = bounds_mod.delone_tail_sum(ps2, rad2, 2 * alpha, r)
+            a = bounds_mod.delone_tail_sum(ps1, None, 2 * alpha, r)
+            b = bounds_mod.delone_tail_sum(ps2, None, 2 * alpha, r)
             if not (a.lo <= b.value <= a.hi):
                 return False
         times = np.arange(0.0, 5.0, 0.05)
-        p1 = ramsey.evaluate_profile(ps1, rad1, 2.0, 10.0, times, 0.1)
-        p2 = ramsey.evaluate_profile(ps2, rad2, 2.0, 10.0, times, 0.1)
+        p1 = ramsey.evaluate_profile(ps1, None, 2.0, 10.0, times, 0.1)
+        p2 = ramsey.evaluate_profile(ps2, None, 2.0, 10.0, times, 0.1)
         return bool(np.all(np.abs(p1.values - p2.values)
                            <= p1.err + p2.err))
 
@@ -375,19 +376,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("points", help="generate a point set")
-    _add_set_flags(p, default_rmax=20.0)
+    _add_set_flags(p, default_rmax=20.0, margin=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("bounds", help="certified tail sums + sandwich report")
-    _add_set_flags(p, default_rmax=60.0)
+    _add_set_flags(p, default_rmax=60.0, margin=True)
     p.add_argument("--alpha", type=float, help="default: dim + 1")
     p.add_argument("--r", type=float, nargs="+", default=[5.0, 10.0])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("ramsey", help="dephasing profile CSV")
-    _add_set_flags(p, default_rmax=None)
+    _add_set_flags(p, default_rmax=None, margin=False)
     p.add_argument("--alpha", type=float, help="default: (dim + 1) / 2")
     p.add_argument("--r", type=float, default=10.0)
     p.add_argument("--tmax", type=float, default=8.0)

@@ -172,6 +172,37 @@ class PointSet:
         i = int(np.searchsorted(rho, r, side="left"))
         return rho[i:], cnt[i:]
 
+    @cached_property
+    def _sorted_line(self) -> np.ndarray:
+        """The coordinates of a d = 1 set in ascending order (read-only), one
+        sort shared by the packing and covering measurements."""
+        xs = np.sort(self.points.ravel())
+        xs.setflags(write=False)
+        return xs
+
+    @cached_property
+    def _r_pack_measured(self) -> float:
+        """Half the minimum pairwise distance over every stored point.
+
+        Neighbour gaps of ``_sorted_line`` in d = 1, one KD query with k = 2
+        in d >= 2; +inf for a set of fewer than 2 points.  ``measure_radii``
+        reports it as ``r_pack``.
+        """
+        if self.n_points < 2:
+            return math.inf
+        if self.dim == 1:
+            return float(np.diff(self._sorted_line).min()) / 2.0
+        nn_dist, _ = _nearest(self.points)(self.points, k=2)
+        return float(nn_dist[:, 1].min()) / 2.0
+
+    @cached_property
+    def _r_pack_certified(self) -> float:
+        """``_certified_r_pack``'s value, computed once per set."""
+        structural = float(self.meta["r_pack_structural"])
+        if structural <= 0.5 and (self.points == np.rint(self.points)).all():
+            return structural
+        return min(structural, self._r_pack_measured)
+
 
 @dataclass(frozen=True)
 class DeloneRadii:
@@ -650,10 +681,12 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     """Measure the empirical packing and covering radii of a point set.
 
     r_pack is half the minimum pairwise distance over every stored point,
-    the whole window (exact for the sample).  ``margin`` shapes only the
-    covering domain: r_cover is the maximum distance from any probe q with
-    |q| <= region_radius - margin to the nearest site, since only covering
-    feels the window's edge.  The probe search is exact in d=1 and
+    the whole window (exact for the sample), measured once per set and
+    cached on it, where ``_certified_r_pack`` reads it too.  ``margin``
+    shapes only the covering domain: r_cover is the maximum distance from
+    any probe q with |q| <= region_radius - margin to the nearest site,
+    since only covering feels the window's edge.  The probe search is
+    exact in d=1 and
     branch-and-bound elsewhere, with the remaining gap reported as
     probe_resolution.  A set of fewer than 2 points, or a margin that
     leaves no probe domain, is refused.
@@ -677,16 +710,15 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     if ps.n_points < 2:
         raise ValueError("need at least 2 points")
     if ps.dim == 1:
-        xs = np.sort(ps.points.ravel())
+        xs = ps._sorted_line
         sites = np.insert(xs, np.searchsorted(xs, 0.0), 0.0)
-        return DeloneRadii(r_pack=float(np.diff(xs).min()) / 2.0,
+        return DeloneRadii(r_pack=ps._r_pack_measured,
                            r_cover=_covering_exact_1d(sites, R_dom))
 
-    nn_dist, _ = _nearest(ps.points)(ps.points, k=2)
-    r_pack = float(nn_dist[:, 1].min()) / 2.0
     sites = np.concatenate([ps.points, np.zeros((1, ps.dim))], axis=0)
     r_cover, gap = _covering_bnb(sites, ps.dim, R_dom, _RESOLUTION[ps.dim])
-    return DeloneRadii(r_pack=r_pack, r_cover=r_cover, probe_resolution=gap)
+    return DeloneRadii(r_pack=ps._r_pack_measured, r_cover=r_cover,
+                       probe_resolution=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +736,7 @@ def count_annulus(ps: PointSet, a: float, b: float) -> int:
     return int(cnt[:np.searchsorted(rho, b, side="right")].sum())
 
 
-def _certified_r_pack(ps: PointSet, radii: DeloneRadii) -> float:
+def _certified_r_pack(ps: PointSet) -> float:
     """Packing radius safe for every upper bound: min(structural, measured).
 
     The measured r_pack covers the whole window, every stored point, but
@@ -713,12 +745,20 @@ def _certified_r_pack(ps: PointSet, radii: DeloneRadii) -> float:
     none is refused.  On every generated set structural <= measured (the
     lattice measures 1/2, jittered pairs are >= 1 - 2*jitter apart and
     Poisson pairs >= r_min), so the structural radius is what this returns.
+
+    The value is read from the set alone and cached on it.  A set whose
+    coordinates are all integers, with structural <= 1/2, needs no
+    measurement: its rows are distinct (``PointSet`` refuses duplicates), so
+    any two differ by >= 1 in some coordinate and lie >= 1 apart.  Rounding
+    is monotone and 1 is a float, so the measured radius is >= 1/2 >=
+    structural in floats too, and the minimum is structural bit for bit.
+    Every other set is measured once, by the computation ``measure_radii``
+    reports (+inf below 2 points).
     """
-    structural = ps.meta.get("r_pack_structural")
-    if structural is None:
+    if ps.meta.get("r_pack_structural") is None:
         raise ValueError("point set meta carries no structural packing "
                          "radius (r_pack_structural)")
-    return min(float(structural), radii.r_pack)
+    return ps._r_pack_certified
 
 
 def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,
@@ -735,7 +775,7 @@ def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,
     structural packing radius is refused with a ``ValueError``.
     """
     d = ps.dim
-    rp = _certified_r_pack(ps, radii)
+    rp = _certified_r_pack(ps)
     if a < rp:
         raise ValueError("lower annulus radius must satisfy a >= r_pack")
     rc = radii.r_cover_upper

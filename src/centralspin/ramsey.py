@@ -229,8 +229,8 @@ def _check_profile_args(d: int, alpha: float, tol: float) -> None:
         raise ValueError("tol must be > 0")
 
 
-def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
-                     times: np.ndarray, tol: float) -> RamseyProfile:
+def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
+                     r: float, times: np.ndarray, tol: float) -> RamseyProfile:
     """Evaluate C_r on a time grid with certified error.
 
     value(t) is the cosine product over the (radius, count) pairs of
@@ -242,13 +242,17 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     what it leaves out.  The window term needs every dropped argument < 1 at
     max |t| (enforced).  Raises if the window certificate at max |t| exceeds
     ``tol``, reporting the window radius that would achieve it.
+
+    ``radii`` is accepted and not read, as in ``delone_tail_sum``: the tail
+    sums take the set's own packing radius.  Callers in this package pass
+    ``None``; the argument goes when the benchmark's calls drop it.
     """
     _check_profile_args(ps.dim, alpha, tol)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a nonempty finite 1-D grid")
-    s2 = delone_tail_sum(ps, radii, 2 * alpha, r)
-    s4 = delone_tail_sum(ps, radii, 4 * alpha, r)
+    s2 = delone_tail_sum(ps, None, 2 * alpha, r)
+    s4 = delone_tail_sum(ps, None, 4 * alpha, r)
     lam = 1.0 / math.sqrt(s2.value)
     t_max = float(np.max(np.abs(times)))
 
@@ -262,7 +266,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii, alpha: float, r: float,
     err_at_max = min(2.0, math.expm1(min(t_max * t_max * s_tail, _W_CAP)))
     if err_at_max > tol:
         tail_target = math.log1p(tol) * s2.value / (t_max * t_max)
-        need = _required_r_max(ps, radii, 2 * alpha, tail_target)
+        need = _required_r_max(ps, 2 * alpha, tail_target)
         raise ValueError(
             f"truncation certificate {err_at_max:.3g} exceeds tol={tol:g} "
             f"at t={t_max:g}; need region_radius >= {need:.6g}")
@@ -330,15 +334,15 @@ def calibrate_envelope(profile: RamseyProfile, T: float) -> float:
     return 0.9 * float(rate.min())
 
 
-def uniform_convergence_scan(ps: PointSet, radii: DeloneRadii, alpha: float,
-                             r_list, times: np.ndarray, tol: float) -> UniformScanReport:
+def uniform_convergence_scan(ps: PointSet, alpha: float, r_list,
+                             times: np.ndarray, tol: float) -> UniformScanReport:
     """sup-distance to the Gaussian along an ascending ladder of cutoffs."""
     r_list = [float(r) for r in r_list]
     if not r_list or any(b <= a for a, b in zip(r_list, r_list[1:])):
         raise ValueError("r_list must be nonempty and strictly ascending")
     entries = []
     for r in r_list:
-        prof = evaluate_profile(ps, radii, alpha, r, times, tol)
+        prof = evaluate_profile(ps, None, alpha, r, times, tol)
         entries.append((r, gaussian_sup_distance(prof)))
     sups = [s for _, s in entries]
     non_inc = all(b <= a + 2.0 * tol for a, b in zip(sups, sups[1:]))

@@ -78,9 +78,12 @@ def line_wide():
 
 @pytest.fixture(scope="session")
 def plane_kilo():
-    """d=2 lattice out to R_max = 1000 (~3.1 million sites)."""
-    ps = cs.gen_lattice(2, 1000.0)
-    return ps, cs.measure_radii(ps)
+    """d=2 lattice out to R_max = 1000 (~3.1 million sites).
+
+    Profiles read only the set's own packing radius, so no radii are
+    measured.
+    """
+    return cs.gen_lattice(2, 1000.0)
 
 
 def mirrored_times(t_max: float, n_pos: int) -> np.ndarray:

@@ -85,22 +85,22 @@ def test_criterion_04_annulus_counts_within_volume_bounds(grid_sets):
 def test_criterion_05_fourth_moment_bound_pointwise(line_large, plane_kilo):
     with budget(120.0):
         times = np.arange(0.0, 6.0 + 0.005, 0.01)
-        jobs = [(line_large, 1, alpha, r, 0.05)
+        jobs = [(line_large[0], 1, alpha, r, 0.05)
                 for alpha in (1.0, 1.5, 2.0) for r in (10.0, 30.0, 100.0)]
         jobs += [(plane_kilo, 2, alpha, r, 2.0)
                  for alpha in (1.5, 2.0) for r in (10.0, 30.0, 100.0)]
-        for (ps, radii), d, alpha, r, tol in jobs:
+        for ps, d, alpha, r, tol in jobs:
             assert 2.0 * alpha > d
-            prof = cs.evaluate_profile(ps, radii, alpha, r, times, tol)
+            prof = cs.evaluate_profile(ps, None, alpha, r, times, tol)
             diag = cs.compact_bound_check(prof)
             assert diag.envelope_ok, (d, alpha, r)
 
 
 def test_criterion_06_gaussian_distance_shrinks_with_inner_radius(line_large):
-    ps, radii = line_large
+    ps, _ = line_large
     with budget(60.0):
         times = np.arange(0.0, 8.0 + 0.005, 0.01)
-        rep = cs.uniform_convergence_scan(ps, radii, 1.0, (10.0, 30.0, 100.0),
+        rep = cs.uniform_convergence_scan(ps, 1.0, (10.0, 30.0, 100.0),
                                           times, tol=0.05)
         sups = [s for _, s in rep]
         assert sups[0] > sups[1] > sups[2]

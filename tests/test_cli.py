@@ -152,6 +152,12 @@ def test_bad_arguments_exit_two(tmp_path, monkeypatch, capsys):
         assert cli.run(argv + ["--out", "x.csv"]) == 2, argv
         assert capsys.readouterr().err.startswith("error: --"), argv
         assert not (tmp_path / "x.csv").exists(), argv
+    # ramsey runs no covering search, so it has no --margin to shape one
+    with pytest.raises(SystemExit) as exit_:
+        cli.run(["ramsey", "--margin", "1", "--out", "x.csv"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --margin 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_window_past_expm1_range_is_refused_not_a_traceback(tmp_path,
@@ -205,7 +211,9 @@ def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
 
 
 # Runs the given CLI command (or none) in a fresh interpreter and reports
-# whether scipy got imported: only a KD query should load it.
+# whether scipy got imported: only a KD query should load it.  A lattice's
+# packing radius is proved from its integer coordinates, so ramsey on a
+# lattice queries no tree in any dimension (d = 3 at its default window).
 SCIPY_PROBE = """\
 import sys
 import centralspin
@@ -225,10 +233,14 @@ print(rc, "scipy" in sys.modules)
      False),
     (["ramsey", "--dim", "1", "--alpha", "2", "--rmax", "2000", "--tmax", "4",
       "--dt", "0.1", "--out", "r.csv"], False),
+    (["ramsey", "--dim", "2", "--alpha", "1.5", "--tol", "2", "--rmax", "100",
+      "--out", "r2.csv"], False),
+    (["ramsey", "--dim", "3", "--alpha", "2", "--tol", "2", "--out", "r3.csv"],
+     False),
     (["points", "--dim", "2", "--set", "poisson", "--rmax", "8",
       "--out", "p.csv"], True),
 ], ids=["import", "spectra-product", "spectra-cantor", "basis", "bounds-d1",
-        "ramsey-d1", "points-poisson"])
+        "ramsey-d1", "ramsey-d2", "ramsey-d3-default-window", "points-poisson"])
 def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
     res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
                          cwd=tmp_path, env=CHILD_ENV, capture_output=True,
@@ -243,7 +255,9 @@ def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
 # rounding (its t and C columns hash as before); pj.csv.json re-recorded
 # when r_pack began to cover every stored point, not the margin core: only
 # its r_pack line changed, 0.2791691961486913 -> 0.2731331585253967, half the
-# brute-force minimum over all point pairs of the set
+# brute-force minimum over all point pairs of the set; prof.csv.json and
+# p2.csv.json re-recorded when ramsey lost --margin (it runs no covering
+# search): only the line "margin": 0.0 left config.params
 ARTIFACT_DIGESTS = [
     (["points", "--dim", "2", "--set", "poisson", "--rmax", "15", "--seed", "7",
       "--out", "pts.csv"],
@@ -259,11 +273,11 @@ ARTIFACT_DIGESTS = [
     (["ramsey", "--dim", "1", "--alpha", "2", "--r", "10", "--rmax", "2000",
       "--tmax", "4", "--dt", "0.01", "--out", "prof.csv"],
      {"prof.csv": "d97d369715a2692e6dc38d65cfb0533cc05fbec185d4a3a2dea71ebf0838f370",
-      "prof.csv.json": "304633db8fe5cc3dd2a9c7dd64f768e1bc2e9c30e9a4fa6e591c10f44eb5d7c3"}),
+      "prof.csv.json": "bf572bbe5c4b05098dfc8910d05d40207643c564390b053f5b6fb733744271c8"}),
     (["ramsey", "--dim", "2", "--alpha", "1.5", "--tol", "2", "--rmax", "60",
       "--tmax", "3", "--dt", "0.05", "--out", "p2.csv"],
      {"p2.csv": "e43515ad5d54ae325dd21baf934621c884a38ec282bd3bf44821b773b60673c9",
-      "p2.csv.json": "e593eba4ecaf6528c451dfb74a3fd42f2d0c6a21d7898f6039ebb9208a41aa7e"}),
+      "p2.csv.json": "a5ac46b6ce43542326bc0ce84cba134644fca281cad782fb8f4257c0b3846e69"}),
     (["spectra", "product", "--base", "3", "--tmax", "10", "--out", "sp.csv"],
      {"sp.csv": "4159e1ac344e835edbf8207ec284f22185606d55f52c3c328fae51d7955f64a9",
       "sp.csv.json": "759d09b10efa6e7a6779029b3042c0439dc974b66f0b056700814a46d8fa13fd"}),
@@ -285,3 +299,24 @@ def test_artifacts_are_byte_identical_to_recorded_digests(tmp_path, monkeypatch)
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in written}
         assert got == want, argv
+
+
+def test_ramsey_on_a_jittered_set_runs_no_covering_search(tmp_path, monkeypatch):
+    # a jittered set is not integral, so its packing radius is measured by
+    # a KD query, but the covering search never runs.  pj2.csv hashes as at
+    # the commit before ramsey stopped measuring radii; its sidecar differs
+    # from that commit's only by the line "margin": 0.0
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ramsey ran the covering search")
+
+    monkeypatch.setattr(cli.pointsets, "_covering_bnb", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["ramsey", "--dim", "2", "--set", "jitter", "--alpha", "1.5",
+            "--tol", "2", "--rmax", "30", "--tmax", "3", "--dt", "0.05",
+            "--out", "pj2.csv"]
+    assert cli.run(argv) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in os.listdir(tmp_path)}
+    assert got == {
+        "pj2.csv": "f6ede5c400e933fdaec4abd7d4992999abba3680badd068420c4b467de8f1658",
+        "pj2.csv.json": "97248c891e23f622fc43260c544317528f58fff75907cde7c0620379cd40c7e1"}

@@ -430,6 +430,52 @@ def test_covering_search_is_bit_identical_to_recorded_radii(make, want):
     assert (got.r_pack, got.r_cover, got.probe_resolution) == want
 
 
+def test_certified_packing_radius_is_min_of_structural_and_measured(grid_sets):
+    # bit for bit against min(structural, measured) on the grid sets, the
+    # two lattices the benchmark's CLI workload runs, the toy pair (integral,
+    # but structural 1.0 > 1/2, so measured) and a lattice with an extra
+    # site 0.3 from its neighbour (not integral: measured 0.15 < 0.5)
+    sets = [(ps, radii.r_pack) for ps, radii in grid_sets[0].values()]
+    base = cs.gen_lattice(1, 500.0)
+    for ps in (cs.gen_lattice(2, 100.0), cs.gen_lattice(3, 15.0),
+               cs.PointSet(1, np.array([[1.0], [-1.0]]), 1.0e9,
+                           meta={"r_pack_structural": 1.0}),
+               cs.PointSet(1, np.vstack([base.points, [[100.3]]]), 500.0,
+                           meta={"r_pack_structural": 0.5})):
+        got = pointsets._certified_r_pack(ps)
+        # a lattice's radius is proved from its coordinates, not measured
+        measured_first = "_r_pack_measured" in ps.__dict__
+        assert measured_first == (ps.meta.get("kind") != "lattice")
+        sets.append((ps, cs.measure_radii(ps).r_pack))
+        assert pointsets._certified_r_pack(ps) == got
+    for ps, measured in sets:
+        want = min(float(ps.meta["r_pack_structural"]), measured)
+        assert pointsets._certified_r_pack(ps) == want, ps.meta
+    assert sets[-1][1] == pytest.approx(0.15) and sets[-2][1] == 1.0
+    # a one-point set measures +inf, so it gets its structural radius, and
+    # the tail bound still refuses a radius larger than the region
+    tiny = cs.PointSet(1, np.array([[1.0]]), 1.0, meta={"r_pack_structural": 2.0})
+    assert pointsets._certified_r_pack(tiny) == 2.0
+    with pytest.raises(ValueError, match="region"):
+        cs.delone_tail_sum(tiny, None, 2.0, 0.5)
+    bare = cs.PointSet(1, np.arange(1.0, 50.0).reshape(-1, 1), 50.0)
+    with pytest.raises(ValueError, match="r_pack_structural"):
+        pointsets._certified_r_pack(bare)
+
+
+def test_packing_radius_is_measured_once_per_set(monkeypatch):
+    ps = cs.gen_jittered(2, 12.0, 0.25, 3)
+    radii = cs.measure_radii(ps, 2.0)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the packing radius was measured again")
+
+    monkeypatch.setattr(pointsets, "_nearest", must_not_run)
+    assert pointsets._certified_r_pack(ps) == min(0.25, radii.r_pack)
+    assert cs.sandwich_check(ps, radii, 3.0, 6.0).holds
+    assert cs.check_annulus_bounds(ps, radii, 1.0, 8.0).holds
+
+
 def _covering_bnb_unpruned(sites, d, R_dom, resolution):
     """The covering search as it was before children were skipped."""
     tree = cKDTree(sites)

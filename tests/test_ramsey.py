@@ -256,10 +256,9 @@ def test_calibration_refuses_insufficient_or_undecayed_grids():
 # -------------------------------------------------------------- uniform scan
 
 def test_uniform_scan_reports_descending_sups(line_large):
-    ps, radii = line_large
+    ps, _ = line_large
     times = np.arange(0.0, 8.0 + 0.02, 0.04)
-    rep = cs.uniform_convergence_scan(ps, radii, 1.0, (10.0, 30.0), times,
-                                      tol=0.05)
+    rep = cs.uniform_convergence_scan(ps, 1.0, (10.0, 30.0), times, tol=0.05)
     assert len(rep) == 2
     assert rep.non_increasing
     (r1, s1), (r2, s2) = rep
@@ -267,7 +266,7 @@ def test_uniform_scan_reports_descending_sups(line_large):
     assert s2 <= s1
     # an empty ladder is refused before any profile runs
     with pytest.raises(ValueError, match="nonempty"):
-        cs.uniform_convergence_scan(ps, radii, 2.0, [], times, 0.1)
+        cs.uniform_convergence_scan(ps, 2.0, [], times, 0.1)
 
 
 # ---------------------------------------------------------------- gaussian fit
