@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _fsum_counted
+from .bounds import _fsum
 
 __all__ = [
     "ThetaIndex",
@@ -209,11 +209,11 @@ def fourier_coeff(k: int, m: int) -> complex:
     j = np.arange(n_cells + 1, dtype=np.int64)
     signs = (2 * (j[:-1] & 1) - 1).astype(np.float64)
     if m == 0:
-        return complex(_fsum_counted(signs) * h / 2.0)
+        return complex(_fsum(signs) * h / 2.0)
     q = (m * j) % n_cells  # endpoint phase: (-1)^m * exp(-i pi h q)
     endpoint = np.exp(-1j * math.pi * h * q)
     terms = signs * (endpoint[:-1] - endpoint[1:])
-    total = complex(_fsum_counted(terms.real), _fsum_counted(terms.imag))
+    total = complex(_fsum(terms.real), _fsum(terms.imag))
     sign_m = -1.0 if m % 2 else 1.0
     return total * sign_m * (-1j) / (2.0 * math.pi * m)
 
@@ -261,7 +261,7 @@ def l2_distance_to_x(pw: PiecewiseDyadic) -> float:
     j = np.arange(n_cells, dtype=np.float64)
     mid = -1.0 + (2.0 * j + 1.0) / n_cells
     sq = h * (pw.cell_values - mid) ** 2 + h ** 3 / 12.0
-    return math.sqrt(_fsum_counted(sq) / 2.0)
+    return math.sqrt(_fsum(sq) / 2.0)
 
 
 def l2_cauchy_check(A, N: int, M: int) -> float:
@@ -281,13 +281,13 @@ def l2_cauchy_check(A, N: int, M: int) -> float:
     a = [float(A[k - 1]) for k in range(N + 1, M + 1)]
     if len(a) != M - N:
         raise ValueError("coupling prefix shorter than M")
-    closed = math.sqrt(_fsum_counted(np.square(a)))
+    closed = math.sqrt(_fsum(np.square(a)))
     j = np.arange(1 << M, dtype=np.int64)
     diff = np.zeros(1 << M, dtype=np.float64)
     for k in range(N + 1, M + 1):
         bit = (j >> (M - k)) & 1
         diff += a[k - N - 1] * (2 * bit - 1)
-    integral = math.sqrt(_fsum_counted(diff ** 2) / (1 << M))
+    integral = math.sqrt(_fsum(diff ** 2) / (1 << M))
     if abs(closed - integral) > _TOL:
         raise AssertionError(
             f"closed form {closed!r} and piecewise integral {integral!r} "

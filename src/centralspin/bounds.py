@@ -36,13 +36,13 @@ Upper bounds must use a *lower* estimate of r_pack and lower bounds an
 structural packing radius; the one rule, shared with the annulus checks)
 for upper bounds and ``r_cover + probe_resolution`` for lower bounds.
 
-Every finite sum goes through ``_fsum_counted(x, counts)``, which returns
-the exact sum of ``counts[i]`` copies of each ``x[i]``, rounded once: its
-error is at most half an ulp, and it does not depend on the order of the
-terms.  Per-site terms (no ``counts``) go to ``math.fsum``, which meets the
-same contract.  A tail sum passes each radial shell once, with its site
-count; the exactness chain of that counted sum (R. M. Neal, "Fast exact
-summation using small and large superaccumulators", arXiv:1505.05571):
+Every finite sum is the exact sum of its terms, rounded once: its error
+is at most half an ulp, and it does not depend on the order of the terms.
+Per-site terms go to ``_fsum(x)``, which is ``math.fsum``.  A tail sum
+passes each radial shell once, with its site count, to
+``_exact_counted(x, counts)``, the exact sum of ``counts[i]`` copies of
+each ``x[i]``; its exactness chain (R. M. Neal, "Fast exact summation
+using small and large superaccumulators", arXiv:1505.05571):
 
 1. each term is m * 2^(e - 53) (``np.frexp``) with m an integer,
    |m| < 2^53, split into halves m = hi * 2^26 + lo with |hi| < 2^27,
@@ -52,13 +52,14 @@ summation using small and large superaccumulators", arXiv:1505.05571):
    one bin set per half, with every partial sum below 2^26 * 2^27 = 2^53:
    exact;
 3. the two bin sets, added as 64-bit integers and shifted into one
-   Python ``int``, are the exact total, and ``int / int`` (or
-   ``float(int)``) rounds it once, correctly.
+   Python ``int``, are the exact total, returned as a ``Fraction``;
+   ``float`` of it (``int / int``) rounds it once, correctly.
 
-An exact zero is -0.0 only when every term held (count > 0) is -0.0, and
-+0.0 otherwise, an empty sum included.  The arithmetic error of a reported
-value is therefore half an ulp of the window sum, dominated by the
-certified tail term everywhere.
+An exact zero from ``_fsum`` is -0.0 only when every term is -0.0, and
++0.0 otherwise, an empty sum included.  ``delone_tail_sum`` keeps the
+exact window sum S and rounds its interval outward: with tail the float
+tail bound, [value - err, value + err], evaluated in floats, contains
+[S, S + tail] exactly, and err is the least float >= tail/2 that does so.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -156,39 +158,46 @@ def integral_tail(alpha: float, d: int, r: float) -> float:
     return r ** (d - alpha) / (alpha - d)
 
 
-def _fsum_counted(x: np.ndarray, counts: np.ndarray | None = None) -> float:
-    """The exact sum of ``counts[i]`` copies of each ``x[i]``, rounded once.
+def _fsum(x: np.ndarray) -> float:
+    """``math.fsum`` of the terms: their exact sum, rounded once.
 
-    Without ``counts`` each term is one site.  ``counts`` are non-negative
-    integers totalling at most 2^26 sites; temporaries are sized by ``x``.
-    The exactness argument and the sign of an exact zero are in the module
-    docstring.  Refuses non-finite terms and out-of-range counts.
+    The sign of an exact zero is in the module docstring.  Refuses
+    non-finite terms.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("cannot sum non-finite terms")
-    if counts is None:
-        total = math.fsum(x.tolist())
-    else:
-        counts = np.asarray(counts)
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError("site counts must be integers")
-        # the max is checked first, so the sum cannot wrap
-        if counts.size and (counts.min() < 0 or counts.max() > _MAX_SITES
-                            or counts.sum() > _MAX_SITES):
-            raise ValueError(f"site counts must be >= 0 and total at most "
-                             f"2^{_HALF}")
-        total = _binned_sum(x, counts) if x.size else 0.0
+    x = _finite_terms(x)
+    total = math.fsum(x.tolist())
     if total == 0.0:
-        held = x if counts is None else x[counts > 0]
-        return -0.0 if held.size and np.signbit(held).all() else 0.0
+        return -0.0 if x.size and np.signbit(x).all() else 0.0
     return total
 
 
-def _binned_sum(x: np.ndarray, counts: np.ndarray) -> float:
-    """Steps 1-3 of the module docstring's chain: half mantissas times
-    site counts, binned per binary exponent, shifted into one ``int`` and
-    rounded once."""
+def _finite_terms(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("cannot sum non-finite terms")
+    return x
+
+
+def _exact_counted(x: np.ndarray, counts: np.ndarray) -> Fraction:
+    """The exact sum of ``counts[i]`` copies of each ``x[i]``, unrounded.
+
+    Steps 1-3 of the module docstring's chain: half mantissas times site
+    counts, binned per binary exponent and shifted into one ``int``.
+    ``counts`` are non-negative integers totalling at most 2^26 sites;
+    temporaries are sized by ``x``.  Refuses non-finite terms and
+    out-of-range counts.
+    """
+    x = _finite_terms(x)
+    counts = np.asarray(counts)
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError("site counts must be integers")
+    # the max is checked first, so the sum cannot wrap
+    if counts.size and (counts.min() < 0 or counts.max() > _MAX_SITES
+                        or counts.sum() > _MAX_SITES):
+        raise ValueError(f"site counts must be >= 0 and total at most "
+                         f"2^{_HALF}")
+    if not x.size:
+        return Fraction(0)
     m, e = np.frexp(x)
     e_min = int(e.min())
     e -= e_min
@@ -207,7 +216,7 @@ def _binned_sum(x: np.ndarray, counts: np.ndarray) -> float:
     for shift, v in zip(nz.tolist(), bins[nz].tolist()):
         total += v << shift
     scale = e_min - 53
-    return total / (1 << -scale) if scale < 0 else float(total << scale)
+    return Fraction(total, 1 << -scale) if scale < 0 else Fraction(total << scale)
 
 
 def _check_tail_exponent(d: int, alpha: float) -> None:
@@ -235,6 +244,13 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     adds it with its site count; pow is elementwise, so each term is the
     per-site one.
 
+    The value is fl(fl(S) + tail/2), S the exact window sum.  err starts at
+    tail/2 and is widened to the least float for which the endpoints, as
+    ``CertifiedValue`` computes them in floats, satisfy lo <= S and
+    hi >= S + tail (``_outward_err``): rounding the centre and the
+    endpoints would otherwise leave lo up to an ulp above S, or hi below
+    S + tail.
+
     ``radii`` is accepted and not read: the packing radius is the set's own
     (``_certified_r_pack``).  Callers in this package pass ``None``; the
     argument goes when the benchmark's calls drop it.
@@ -245,13 +261,48 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
         raise ValueError("need 0 <= r <= region_radius")
     rp = _certified_r_pack(ps)
     rho, cnt = ps.shells(r)
-    finite = _fsum_counted(rho ** (-alpha), cnt)
+    exact = _exact_counted(rho ** (-alpha), cnt)
+    finite = float(exact)  # the terms are >= 0: no -0.0 to keep
     tail_cut = ps.region_radius - rp
     if tail_cut <= 0.0:
         raise ValueError("region too small for the packing radius")
     tail = (3.0 ** d) * d / rp ** d * integral_tail(alpha, d, tail_cut)
     # centre the interval on finite + tail/2 so err is half the bracket
-    return CertifiedValue(value=finite + 0.5 * tail, err=0.5 * tail)
+    value = finite + 0.5 * tail
+    return CertifiedValue(value=value, err=_outward_err(
+        value, 0.5 * tail, exact, exact + Fraction(tail)))
+
+
+def _outward_err(value: float, err: float, lo: Fraction, hi: Fraction) -> float:
+    """The least float e >= err with fl(value - e) <= lo, fl(value + e) >= hi.
+
+    A float is >= the rational hi iff it is >= f, hi rounded up, and
+    fl(value + e) >= f iff value + e reaches m, the midpoint of f and the
+    float below it, or passes m when f has an odd last mantissa bit (a tie
+    rounds to the even neighbour).  So e is m - value rounded up to a
+    float, or the float after it on such a tie.  lo is the mirror image:
+    lo rounded down, the float above it, and value - m.
+    """
+    least = err
+    for end, toward in ((hi, math.inf), (lo, -math.inf)):
+        f = _rounded(end, toward)
+        m = (Fraction(f) + Fraction(math.nextafter(f, -toward))) / 2
+        need = m - Fraction(value) if toward > 0 else Fraction(value) - m
+        e = _rounded(need, math.inf)
+        if e == need and f / math.ulp(f) % 2:
+            e = math.nextafter(e, math.inf)
+        least = max(least, e)
+    return least
+
+
+def _rounded(q: Fraction, toward: float) -> float:
+    """The rational q rounded to a float toward -inf or +inf."""
+    f = float(q)
+    n, d = f.as_integer_ratio()
+    off = n * q.denominator - q.numerator * d  # the sign of f - q
+    if off and (off > 0) == (toward < 0):
+        f = math.nextafter(f, toward)
+    return f
 
 
 def _required_r_max(ps: PointSet, alpha: float, target_tail: float) -> float:
@@ -322,7 +373,7 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
     corr = alpha * (M - 1.5) ** (-alpha - 1.0) / 24.0
     N = max(2 * M, 1000)
     n = np.arange(M, N + 1, dtype=np.float64)
-    head = _fsum_counted(n ** (-alpha))
+    head = _fsum(n ** (-alpha))
     # remainder over n >= N+1 certified recursively: it lies in
     # [tail_integral - corr(N+1), tail_integral]
     rem_int = (N + 0.5) ** (1.0 - alpha) / (alpha - 1.0)

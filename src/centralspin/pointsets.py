@@ -16,7 +16,8 @@ points, so this module is organized around three things:
   sampling;
 * empirical measurement of the two Delone constants (r_pack, r_cover), the
   covering radius by rigorous branch-and-bound probing of the 1-Lipschitz
-  distance-to-set function;
+  distance-to-set function, which stops at the structural covering radius
+  of a complete integer lattice when the margin allows;
 * radial annulus counting together with the volume-argument count bounds
 
       (b/r_cover - 1)^d - (a/r_cover + 1)^d  <=  N(a, b)
@@ -98,6 +99,28 @@ def _cartesian(values: np.ndarray, d: int) -> np.ndarray:
                     axis=-1).reshape(-1, d)
 
 
+def _row_keys(rows: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
+    """Sorted int64 keys of integer-valued rows, and each axis's key stride.
+
+    A key is the mixed-radix number of a row shifted by its column minima,
+    with base max - min + 2 on each axis, so equal keys are equal rows, and
+    key + strides[k] is the key of that row plus the k-th unit vector (the
+    extra 1 in the base leaves room for it, with no carry).  None when a
+    coordinate exceeds 2^53 in magnitude or the keys would not fit in int64.
+    """
+    if not np.abs(rows).max() <= 2.0 ** 53:
+        return None
+    z = rows.astype(np.int64)
+    z -= z.min(axis=0)
+    base = (z.max(axis=0) + 2).tolist()
+    if math.prod(base) > 2 ** 62:
+        return None
+    strides = [math.prod(base[k + 1:]) for k in range(len(base))]
+    keys = z @ np.array(strides, dtype=np.int64)
+    keys.sort()
+    return keys, strides
+
+
 def _check_dim(d: int) -> None:
     if d not in _DIMS:
         raise ValueError(f"dimension must be one of {_DIMS}, got {d!r}")
@@ -143,8 +166,14 @@ class PointSet:
         if pts.shape[0] and norms.max() > self.region_radius:
             raise ValueError("all points must satisfy |p| <= region_radius")
         if pts.shape[0] > 1:
+            # equal rows are neighbours in lexicographic order; float
+            # equality, so -0.0 and 0.0 are the same coordinate
             order = np.lexsort(pts.T[::-1])
-            if (np.diff(pts[order], axis=0) == 0).all(axis=1).any():
+            same = np.ones(pts.shape[0] - 1, dtype=bool)
+            for c in pts.T:
+                c = c[order]
+                same &= c[1:] == c[:-1]
+            if same.any():
                 raise ValueError("duplicate points are not allowed")
         pts.setflags(write=False)
         norms.setflags(write=False)
@@ -187,11 +216,26 @@ class PointSet:
         Neighbour gaps of ``_sorted_line`` in d = 1, one KD query with k = 2
         in d >= 2; +inf for a set of fewer than 2 points.  ``measure_radii``
         reports it as ``r_pack``.
+
+        An integral set in d >= 2 that holds a unit pair, some row p and
+        p + e_k (found by ``_row_keys``), skips the query: its distinct rows
+        lie >= 1 apart, and the witness pair exactly 1 apart, so the minimum
+        is 1 and the radius 1/2.  The KD query reports sqrt(1.0) / 2, the
+        same float.
         """
         if self.n_points < 2:
             return math.inf
         if self.dim == 1:
             return float(np.diff(self._sorted_line).min()) / 2.0
+        found = (_row_keys(self.points)
+                 if (self.points == np.rint(self.points)).all() else None)
+        if found:
+            keys, strides = found
+            for s in strides:
+                shifted = keys + s
+                hit = np.minimum(np.searchsorted(keys, shifted), keys.size - 1)
+                if (keys[hit] == shifted).any():
+                    return 0.5
         nn_dist, _ = _nearest(self.points)(self.points, k=2)
         return float(nn_dist[:, 1].min()) / 2.0
 
@@ -199,8 +243,14 @@ class PointSet:
     def _r_pack_certified(self) -> float:
         """``_certified_r_pack``'s value, computed once per set."""
         structural = float(self.meta["r_pack_structural"])
-        if structural <= 0.5 and (self.points == np.rint(self.points)).all():
-            return structural
+        anchors = np.rint(self.points)
+        eta = float(np.abs(self.points - anchors).max(initial=0.0))
+        if structural <= (1.0 - 2.0 * eta) / 2.0:
+            if eta == 0.0:  # the anchors are the rows, which are distinct
+                return structural
+            found = _row_keys(anchors)
+            if found and (np.diff(found[0]) != 0).all():
+                return structural
         return min(structural, self._r_pack_measured)
 
 
@@ -606,7 +656,7 @@ _KD_PAD = 1e-12  # relative gap allowed between numpy and cKDTree distances
 
 
 def _covering_bnb(sites: np.ndarray, d: int, R_dom: float,
-                  resolution: float) -> tuple[float, float]:
+                  resolution: float, bound: float) -> tuple[float, float]:
     """Branch-and-bound estimate of sup_{|q| <= R_dom} dist(q, sites).
 
     The distance-to-set function is 1-Lipschitz, so a cell of half-diagonal
@@ -614,6 +664,18 @@ def _covering_bnb(sites: np.ndarray, d: int, R_dom: float,
     no better probe and is pruned; survivors are subdivided until the
     half-diagonal falls below ``resolution``.  Returns (best, gap): the true
     supremum lies in [best, best + gap].
+
+    ``bound`` is an upper bound on that supremum known in advance
+    (``math.inf`` for none).  Every incumbent is the distance of a probe of
+    the domain, so as soon as best >= bound,
+
+        sup <= bound <= best <= sup,
+
+    the incumbent is the supremum, and the search returns (best, 0.0): the
+    ordinary branch-and-bound stop, when no cell's upper bound
+    min(dist + hd, bound) can beat the incumbent.  Distances here are
+    floats, as everywhere in the search, so the chain holds up to their
+    rounding, which ``r_cover`` carries whether or not the search stops.
 
     Children are also skipped *before* their KD query.  The query of a kept
     parent returns its nearest site p, and every child c satisfies
@@ -641,6 +703,8 @@ def _covering_bnb(sites: np.ndarray, d: int, R_dom: float,
         inside = (centers ** 2).sum(axis=1) <= R_dom * R_dom
         if inside.any():
             best = max(best, float(dist[inside].max()))
+        if best >= bound:
+            return best, 0.0
         if hd <= resolution:
             ub = dist + hd
             gap = max(0.0, float(ub.max()) - best) if ub.size else 0.0
@@ -702,6 +766,18 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     occupies it, so the punctured ball around 0 is not a hole of the bath
     geometry.  (Without this, the 1-D integer lattice would report
     r_cover = 1 from the probe at the origin instead of its true 1/2.)
+
+    In d >= 2 the search stops as soon as it reaches the structural
+    covering radius c of ``_structural_r_cover`` (a complete integer
+    lattice, checked row by row), but only when margin >= c.  Then every probe q of the domain
+    has a site p of the infinite set, the origin included, with
+    |q - p| <= c, so |p| <= |q| + c <= region_radius: p is stored, and
+    dist(q, sites) <= c bounds the supremum over the domain.  On a
+    lattice the first level of centres holds deep holes at exactly
+    sqrt(d)/2, so it reports r_cover = sqrt(d)/2 with probe_resolution 0,
+    the pair the full search ends on after confirming every tie.  With a
+    smaller margin the nearest site of a probe near the edge may lie
+    beyond the window, no bound is passed, and the full search runs.
     """
     _check_margin(margin)
     R_dom = ps.region_radius - margin
@@ -716,7 +792,9 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
                            r_cover=_covering_exact_1d(sites, R_dom))
 
     sites = np.concatenate([ps.points, np.zeros((1, ps.dim))], axis=0)
-    r_cover, gap = _covering_bnb(sites, ps.dim, R_dom, _RESOLUTION[ps.dim])
+    bound = _structural_r_cover(ps)
+    r_cover, gap = _covering_bnb(sites, ps.dim, R_dom, _RESOLUTION[ps.dim],
+                                 bound if margin >= bound else math.inf)
     return DeloneRadii(r_pack=ps._r_pack_measured, r_cover=r_cover,
                        probe_resolution=gap)
 
@@ -747,18 +825,47 @@ def _certified_r_pack(ps: PointSet) -> float:
     Poisson pairs >= r_min), so the structural radius is what this returns.
 
     The value is read from the set alone and cached on it.  A set whose
-    coordinates are all integers, with structural <= 1/2, needs no
-    measurement: its rows are distinct (``PointSet`` refuses duplicates), so
-    any two differ by >= 1 in some coordinate and lie >= 1 apart.  Rounding
-    is monotone and 1 is a float, so the measured radius is >= 1/2 >=
-    structural in floats too, and the minimum is structural bit for bit.
-    Every other set is measured once, by the computation ``measure_radii``
-    reports (+inf below 2 points).
+    rows lie within eta = max |p - rint(p)|_inf of distinct integer anchors
+    rint(p), with structural <= (1 - 2 eta)/2, needs no measurement: two
+    rows with anchors a != b differ by >= |a_k - b_k| - 2 eta >= 1 - 2 eta
+    in a coordinate k where the anchors differ.  p - rint(p) is exact in
+    floats, and rounding is monotone, so the difference the measurement
+    forms in that coordinate is >= c = fl(1 - 2 eta), the sum of squares
+    is >= fl(c * c), and sqrt(fl(c * c)) = c in binary64: the measured
+    radius is >= c / 2 >= structural in floats too, and the minimum is
+    structural bit for bit.  An integral set (eta = 0) has distinct anchors
+    because ``PointSet`` refuses duplicate rows; other sets compare their
+    sorted ``_row_keys``.  A jittered set (eta <= jitter, structural
+    (1 - 2 jitter)/2) and an integer lattice take this proof.  Every other
+    set is measured once, by the computation ``measure_radii`` reports
+    (+inf below 2 points).
     """
     if ps.meta.get("r_pack_structural") is None:
         raise ValueError("point set meta carries no structural packing "
                          "radius (r_pack_structural)")
     return ps._r_pack_certified
+
+
+def _structural_r_cover(ps: PointSet) -> float:
+    """sqrt(d)/2, the covering radius of Z^d, for ``gen_lattice``'s output;
+    +inf for every other set.
+
+    sqrt(d)/2 is the distance from a cell centre to its corners (Conway
+    and Sloane, *Sphere Packings, Lattices and Groups*, ch. 2).  The rows
+    are checked, not ``meta``: they must be, in order, those of
+    ``_probe_lattice(d, region_radius, 1, 1)``, which holds every z in
+    Z^d \\ {0} with |z| <= region_radius (z.z is an integer, exact in
+    floats, and rounding is monotone, so z.z <= R^2 gives z.z <= fl(R^2)).
+    A lattice with a site deleted, moved or reordered gets +inf.
+    Poisson-disk samples get no bound here.
+    """
+    stored = 0
+    for block in _probe_lattice(ps.dim, ps.region_radius, 1.0, 1.0):
+        rows = ps.points[stored:stored + block.shape[0]]
+        if not np.array_equal(rows, block):
+            return math.inf
+        stored += block.shape[0]
+    return math.sqrt(ps.dim) / 2.0 if stored == ps.n_points else math.inf
 
 
 def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import centralspin as cs
-from centralspin import bounds
+from centralspin import bounds, pointsets
 
 
 # ------------------------------------------------------------ CertifiedValue
@@ -104,6 +104,12 @@ def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def _counted(x, counts):
+    """The counted sum rounded once, as ``delone_tail_sum`` rounds it.  A
+    Fraction has no -0.0, so an exact zero compares equal to either sign."""
+    return float(bounds._exact_counted(x, counts))
+
+
 def test_counted_sum_is_the_exact_sum_rounded_once():
     # shells added once with their site counts give the exact sum of the
     # repeated terms, rounded once, whatever the order of the terms
@@ -115,16 +121,16 @@ def test_counted_sum_is_the_exact_sum_rounded_once():
             rho, cnt = ps.shells(r)
             for alpha in (2.5, 7.0):
                 x = rho ** (-alpha)
-                got = bounds._fsum_counted(x, cnt)
+                got = _counted(x, cnt)
                 assert _same_float(got, _exact_sum(x, cnt))
-                assert _same_float(bounds._fsum_counted(x[::-1], cnt[::-1]), got)
+                assert _same_float(_counted(x[::-1], cnt[::-1]), got)
     # exact sums pinned; math.fsum over 4096-site chunks, largest first,
     # gives 13.251247540666155 in place of the first
     z2 = sets[1].shells(0.0)
     z3 = sets[2].shells(float(sets[2].radii[sets[2].n_points // 3]))
-    assert bounds._fsum_counted(z2[0] ** -2.5, z2[1]) == 13.251247540666153
-    assert bounds._fsum_counted(z2[0] ** -7.0, z2[1]) == 4.423117775396062
-    assert bounds._fsum_counted(z3[0] ** -7.0, z3[1]) == 0.002494757166321473
+    assert _counted(z2[0] ** -2.5, z2[1]) == 13.251247540666153
+    assert _counted(z2[0] ** -7.0, z2[1]) == 4.423117775396062
+    assert _counted(z3[0] ** -7.0, z3[1]) == 0.002494757166321473
     rng = np.random.default_rng(11)
     x = rng.uniform(0.5, 2.0, 5000) * 10.0 ** rng.integers(-30, 30, 5000)
     # 4096 to 4098 sites in all, in shells of 1 to 3 sites
@@ -132,10 +138,10 @@ def test_counted_sum_is_the_exact_sum_rounded_once():
              np.array([3] * 1365 + [1]), np.array([3] * 1365 + [2])]
     for c in cases:
         xs = x[:c.size]
-        assert _same_float(bounds._fsum_counted(xs, c), _exact_sum(xs, c))
+        assert _same_float(_counted(xs, c), _exact_sum(xs, c))
     # one hand-built shell of 9000 sites, between two others
     x3, c3 = np.array([0.1, 1.0 / 3.0, 0.7]), np.array([5, 9000, 3])
-    assert _same_float(bounds._fsum_counted(x3, c3), _exact_sum(x3, c3))
+    assert _same_float(_counted(x3, c3), _exact_sum(x3, c3))
     # signed, zero and subnormal terms, as the basis callers pass them
     tiny = 5e-324 * rng.integers(-1000, 1000, 9000)
     signed = rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000)
@@ -144,21 +150,21 @@ def test_counted_sum_is_the_exact_sum_rounded_once():
     for xs in (tiny, signed, -signed, np.full(5000, -0.0), np.zeros(3),
                np.sign(rng.standard_normal(8193)), np.array([1.0, -1.0]),
                np.array([]), np.concatenate([np.full(4096, -0.0), [1.5]])):
-        assert _same_float(bounds._fsum_counted(xs), _exact_sum(xs))
+        assert _same_float(bounds._fsum(xs), _exact_sum(xs))
         counts = rng.integers(0, 3, xs.size)
-        assert _same_float(bounds._fsum_counted(xs, counts),
-                           _exact_sum(xs, counts))
-    assert _same_float(bounds._fsum_counted(np.full(5000, -0.0)), -0.0)
+        assert _counted(xs, counts) == _exact_sum(xs, counts)
+    assert _same_float(bounds._fsum(np.full(5000, -0.0)), -0.0)
     # alternating signs over 2^14 terms, as fourier_coeff(14, 0) sums them:
     # an exact zero, and +0.0 because not every term is -0.0
     alt = np.tile([-1.0, 1.0], 1 << 13)
-    for c in (None, np.ones(alt.size, dtype=np.int64), np.full(alt.size, 3)):
-        assert _same_float(bounds._fsum_counted(alt, c), 0.0)
+    assert _same_float(bounds._fsum(alt), 0.0)
+    for c in (np.ones(alt.size, dtype=np.int64), np.full(alt.size, 3)):
+        assert _same_float(_counted(alt, c), 0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        bounds._fsum_counted(np.array([1.0, math.inf, 2.0]), np.array([1, 1, 1]))
+        bounds._exact_counted(np.array([1.0, math.inf, 2.0]), np.array([1, 1, 1]))
     for bad in ([1.0, math.inf], [math.nan, 2.0], [math.inf, -math.inf]):
         with pytest.raises(ValueError):
-            bounds._fsum_counted(np.array(bad))
+            bounds._fsum(np.array(bad))
 
 
 _finite = st.floats(-1e300, 1e300, allow_nan=False)
@@ -168,8 +174,8 @@ _finite = st.floats(-1e300, 1e300, allow_nan=False)
 def test_counted_sum_matches_the_exact_oracle_on_random_terms(terms):
     x = np.array([v for v, _ in terms], dtype=np.float64)
     c = np.array([k for _, k in terms], dtype=np.int64)
-    assert _same_float(bounds._fsum_counted(x, c), _exact_sum(x, c))
-    assert _same_float(bounds._fsum_counted(x), _exact_sum(x))
+    assert _counted(x, c) == _exact_sum(x, c)
+    assert _same_float(bounds._fsum(x), _exact_sum(x))
 
 
 def test_counted_sum_refuses_counts_beyond_the_exact_range():
@@ -177,31 +183,62 @@ def test_counted_sum_refuses_counts_beyond_the_exact_range():
     # largest mantissa half (2^27 - 1) times 2^26 sites is still exact
     x = np.array([np.nextafter(1.0, 0.0)])
     edge = np.array([1 << 26])
-    assert bounds._fsum_counted(x, edge) == _exact_sum(x, edge)
-    assert bounds._fsum_counted(-x, edge) == -_exact_sum(x, edge)
+    assert _counted(x, edge) == _exact_sum(x, edge)
+    assert _counted(-x, edge) == -_exact_sum(x, edge)
     for bad in (np.array([(1 << 26) + 1]), np.array([1 << 25, (1 << 25) + 1]),
                 np.array([-1]), np.array([2, -1])):
         with pytest.raises(ValueError, match="2\\^26"):
-            bounds._fsum_counted(np.resize(x, bad.size), bad)
+            bounds._exact_counted(np.resize(x, bad.size), bad)
     with pytest.raises(ValueError, match="integers"):
-        bounds._fsum_counted(x, np.array([1.5]))
+        bounds._exact_counted(x, np.array([1.5]))
 
 
 def test_tail_sum_matches_a_fresh_sort_at_every_cut():
     # the finite sum reads the shells of the once-sorted radii beyond r; it
     # must hold the same terms as the selection made afresh, also when r
-    # equals a radius (|p| >= r is closed) or cuts nothing
+    # equals a radius (|p| >= r is closed) or cuts nothing.  The value is
+    # the window sum plus half the tail bound; err is that half rounded
+    # outward (test_tail_sum_interval_is_rounded_outward)
     ps = cs.gen_jittered(2, 12.0, 0.2, seed=5)
     lat = cs.gen_lattice(2, 12.0)
     for pset in (ps, lat):
         radii = cs.measure_radii(pset)
         rr = pset.radii
+        rp = pointsets._certified_r_pack(pset)
         for alpha in (2.5, 4.0):
+            tail = 9.0 * 2 / rp ** 2 * cs.integral_tail(alpha, 2, 12.0 - rp)
             for r in (0.0, 1.0, 2.0, float(rr[17]), 7.3, float(rr.max()), 12.0):
                 got = cs.delone_tail_sum(pset, radii, alpha, r)
                 finite = _exact_sum(rr[rr >= r] ** (-alpha))
-                assert got.value == finite + got.err
+                assert got.value == finite + 0.5 * tail
     assert ps.shells(7.3)[0].base is ps.shells(0.0)[0].base  # sorted once, then cached
+
+
+def test_tail_sum_interval_is_rounded_outward():
+    # [lo, hi] holds [S, S + tail] for S the exact sum of the same float
+    # terms, err is the least float >= tail/2 that does so, and the value is
+    # unchanged; at the commit before outward rounding, lo > S in 144 of
+    # these 324 cases and hi < S + tail in 168
+    for ps in (cs.gen_lattice(1, 500.0), cs.gen_lattice(2, 40.0),
+               cs.gen_lattice(3, 12.0)):
+        d, R = ps.dim, ps.region_radius
+        for alpha in d + np.linspace(0.25, 9.0, 12):
+            alpha = float(alpha)
+            tail = (3.0 ** d) * d / 0.5 ** d * cs.integral_tail(alpha, d, R - 0.5)
+            for r in np.linspace(0.5, 4.5, 9):
+                got = cs.delone_tail_sum(ps, None, alpha, float(r))
+                terms, counts = np.unique(ps.radii[ps.radii >= r] ** -alpha,
+                                          return_counts=True)
+                exact = sum((Fraction(x) * int(k) for x, k in
+                             zip(terms.tolist(), counts.tolist())), Fraction(0))
+                assert got.value == float(exact) + 0.5 * tail
+                assert Fraction(got.lo) <= exact
+                assert Fraction(got.hi) >= exact + Fraction(tail)
+                if got.err > 0.5 * tail:
+                    less = cs.CertifiedValue(got.value,
+                                             math.nextafter(got.err, 0.0))
+                    assert (Fraction(less.lo) > exact
+                            or Fraction(less.hi) < exact + Fraction(tail))
 
 
 def test_tail_sum_refuses_divergent_or_oversized_requests(grid_sets):

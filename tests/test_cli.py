@@ -212,8 +212,9 @@ def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
 
 # Runs the given CLI command (or none) in a fresh interpreter and reports
 # whether scipy got imported: only a KD query should load it.  A lattice's
-# packing radius is proved from its integer coordinates, so ramsey on a
-# lattice queries no tree in any dimension (d = 3 at its default window).
+# packing radius is proved from its integer coordinates, and a jittered
+# set's from its distinct integer anchors, so ramsey on either queries no
+# tree in any dimension (d = 3 at its default window).
 SCIPY_PROBE = """\
 import sys
 import centralspin
@@ -239,8 +240,11 @@ print(rc, "scipy" in sys.modules)
      False),
     (["points", "--dim", "2", "--set", "poisson", "--rmax", "8",
       "--out", "p.csv"], True),
+    (["ramsey", "--dim", "2", "--set", "jitter", "--alpha", "1.5", "--tol", "2",
+      "--rmax", "30", "--out", "rj.csv"], False),
 ], ids=["import", "spectra-product", "spectra-cantor", "basis", "bounds-d1",
-        "ramsey-d1", "ramsey-d2", "ramsey-d3-default-window", "points-poisson"])
+        "ramsey-d1", "ramsey-d2", "ramsey-d3-default-window", "points-poisson",
+        "ramsey-d2-jitter"])
 def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
     res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
                          cwd=tmp_path, env=CHILD_ENV, capture_output=True,
@@ -257,7 +261,12 @@ def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
 # its r_pack line changed, 0.2791691961486913 -> 0.2731331585253967, half the
 # brute-force minimum over all point pairs of the set; prof.csv.json and
 # p2.csv.json re-recorded when ramsey lost --margin (it runs no covering
-# search): only the line "margin": 0.0 left config.params
+# search): only the line "margin": 0.0 left config.params; b.json, prof.csv,
+# prof.csv.json, p2.csv and p2.csv.json re-recorded when the tail-sum
+# interval was rounded outward: only err values (b.json, sidecars s2/s4,
+# the CSV err column) and the CSV bound_rhs column moved, err by at most
+# 2.1e-10 relative, bound_rhs by at most 7e-16 relative; t, C and gauss
+# hash as before
 ARTIFACT_DIGESTS = [
     (["points", "--dim", "2", "--set", "poisson", "--rmax", "15", "--seed", "7",
       "--out", "pts.csv"],
@@ -269,15 +278,15 @@ ARTIFACT_DIGESTS = [
       "pj.csv.json": "8dc0e53bcfd1573ffc2ada6dcc1b3574fc239bba7d6b7ea44f8167b68cc2638c"}),
     (["bounds", "--dim", "1", "--rmax", "200", "--alpha", "2", "--r", "5", "10",
       "--out", "b.json"],
-     {"b.json": "8743857371df79149a7d14fa4015fae9a7b875af45e9c2d5647e5fe8eaedb7da"}),
+     {"b.json": "a0075c6704ebf017d210cc21d25637e607e5a5119568872bcfd22ead263d477c"}),
     (["ramsey", "--dim", "1", "--alpha", "2", "--r", "10", "--rmax", "2000",
       "--tmax", "4", "--dt", "0.01", "--out", "prof.csv"],
-     {"prof.csv": "d97d369715a2692e6dc38d65cfb0533cc05fbec185d4a3a2dea71ebf0838f370",
-      "prof.csv.json": "bf572bbe5c4b05098dfc8910d05d40207643c564390b053f5b6fb733744271c8"}),
+     {"prof.csv": "be565476d88085c41369ba8a4dd837b1ec47e777ede2e1465959aa69c5e8aec5",
+      "prof.csv.json": "b0df991f189b116f76feb05681ccb711163efa30ee1f439ff3830bbe4a0b5b83"}),
     (["ramsey", "--dim", "2", "--alpha", "1.5", "--tol", "2", "--rmax", "60",
       "--tmax", "3", "--dt", "0.05", "--out", "p2.csv"],
-     {"p2.csv": "e43515ad5d54ae325dd21baf934621c884a38ec282bd3bf44821b773b60673c9",
-      "p2.csv.json": "a5ac46b6ce43542326bc0ce84cba134644fca281cad782fb8f4257c0b3846e69"}),
+     {"p2.csv": "7c98a550c033172b67bf92060ed3e387ec56dae168e288f797c6f3a48a5426ce",
+      "p2.csv.json": "05ad9a5798b10aa6e0bfd73ce8809fb77cdc751ec40b1e92fd7769e4c7f83f4e"}),
     (["spectra", "product", "--base", "3", "--tmax", "10", "--out", "sp.csv"],
      {"sp.csv": "4159e1ac344e835edbf8207ec284f22185606d55f52c3c328fae51d7955f64a9",
       "sp.csv.json": "759d09b10efa6e7a6779029b3042c0439dc974b66f0b056700814a46d8fa13fd"}),
@@ -302,10 +311,11 @@ def test_artifacts_are_byte_identical_to_recorded_digests(tmp_path, monkeypatch)
 
 
 def test_ramsey_on_a_jittered_set_runs_no_covering_search(tmp_path, monkeypatch):
-    # a jittered set is not integral, so its packing radius is measured by
-    # a KD query, but the covering search never runs.  pj2.csv hashes as at
-    # the commit before ramsey stopped measuring radii; its sidecar differs
-    # from that commit's only by the line "margin": 0.0
+    # a jittered set's packing radius is proved from its integer anchors
+    # (no KD query, see SCIPY_PROBE), and the covering search never runs.
+    # pj2.csv and its sidecar were re-recorded when the tail-sum interval
+    # was rounded outward: only err values and the bound_rhs column moved,
+    # by at most 4.3e-15 relative
     def must_not_run(*args, **kwargs):
         raise AssertionError("ramsey ran the covering search")
 
@@ -318,5 +328,5 @@ def test_ramsey_on_a_jittered_set_runs_no_covering_search(tmp_path, monkeypatch)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in os.listdir(tmp_path)}
     assert got == {
-        "pj2.csv": "f6ede5c400e933fdaec4abd7d4992999abba3680badd068420c4b467de8f1658",
-        "pj2.csv.json": "97248c891e23f622fc43260c544317528f58fff75907cde7c0620379cd40c7e1"}
+        "pj2.csv": "9d199ec50c0683c7f5a14e967d355aff6a66640a7355cf95e88bb618d4ae8ea2",
+        "pj2.csv.json": "c5089d259e017e0de84ef4623c0bc9ea3072ad29b2b9ae45fb50e3f260a9db09"}

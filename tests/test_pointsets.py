@@ -51,6 +51,8 @@ def test_lattice_radii_are_the_exact_cube_constants(d, cover, grid_sets):
     assert radii.r_pack == 0.5
     assert radii.r_cover <= cover + radii.probe_resolution + 1e-12
     assert radii.r_cover_upper >= cover - 1e-12
+    # the margin (2) exceeds sqrt(d)/2: the search ends on the exact value
+    assert (radii.r_cover, radii.probe_resolution) == (math.sqrt(d) / 2, 0.0)
 
 
 # ---------------------------------------------------------------- jittered
@@ -265,6 +267,10 @@ def test_point_set_rejects_origin_duplicates_and_outliers():
     pts = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         cs.PointSet(2, pts, 10.0)
+    # -0.0 == 0.0: the same site, between two others
+    pts = np.array([[1.0, 0.0], [0.5, 2.0], [1.0, -0.0], [3.0, 1.0]])
+    with pytest.raises(ValueError, match="duplicate"):
+        cs.PointSet(2, pts, 10.0)
     pts = np.array([[11.0, 0.0]])
     with pytest.raises(ValueError):
         cs.PointSet(2, pts, 10.0)
@@ -463,6 +469,57 @@ def test_certified_packing_radius_is_min_of_structural_and_measured(grid_sets):
         pointsets._certified_r_pack(bare)
 
 
+def test_jittered_packing_radius_is_proved_from_distinct_anchors(monkeypatch):
+    # every row lies within eta <= jitter of a distinct integer anchor, so
+    # pairs lie >= 1 - 2 jitter apart and the structural radius needs no KD
+    # query; a set whose anchors collide is measured
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the packing radius was measured")
+
+    monkeypatch.setattr(pointsets, "_nearest", must_not_run)
+    for d in (1, 2, 3):
+        for eta in (0.1, 0.25, 0.49):
+            ps = cs.gen_jittered(d, 12.0, eta, seed=3)
+            assert pointsets._certified_r_pack(ps) == (1.0 - 2.0 * eta) / 2.0
+            assert "_r_pack_measured" not in ps.__dict__
+    monkeypatch.undo()
+    twins = cs.PointSet(2, [[0.9, 3.0], [1.1, 3.0], [4.0, 0.0]], 10.0,
+                        meta={"r_pack_structural": 0.05})
+    assert pointsets._certified_r_pack(twins) == 0.05
+    assert twins._r_pack_measured == pytest.approx(0.1)
+
+
+def test_unit_pair_reads_the_packing_radius_without_a_kd_query(monkeypatch):
+    # an integral set with a row p and p + e_k measures 1/2 with no KD query,
+    # the float the query gives; 2 Z^d (no unit pair) and a set whose keys
+    # would overflow int64 take the query
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the packing radius took a KD query")
+
+    evens = [cs.PointSet(d, 2.0 * cs.gen_lattice(d, 15.0).points, 30.0)
+             for d in (2, 3)]
+    diagonal = cs.PointSet(2, [[1.0, 0.0], [2.0, 1.0]], 5.0)
+    # key bases of about 2e6 on each axis: their product exceeds 2^62
+    wide = cs.PointSet(3, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-2e6, 0.0, 0.0],
+                           [0.0, -2e6, 0.0], [0.0, 0.0, -2e6]], 3e6)
+    assert pointsets._row_keys(wide.points) is None
+    with monkeypatch.context() as m:
+        m.setattr(pointsets, "_nearest", must_not_run)
+        for d in (2, 3):
+            lat = cs.gen_lattice(d, 15.0)
+            assert lat._r_pack_measured == 0.5 == min_pair_distance(lat) / 2.0
+        # the only unit pair lies along the first axis
+        axis0 = cs.PointSet(2, [[3.0, 0.0], [4.0, 0.0], [0.0, 7.0]], 10.0)
+        assert axis0._r_pack_measured == 0.5
+        for ps in evens + [diagonal, wide]:
+            with pytest.raises(AssertionError, match="KD query"):
+                ps._r_pack_measured
+    for even in evens:
+        assert even._r_pack_measured == 1.0 == min_pair_distance(even) / 2.0
+    assert diagonal._r_pack_measured == math.sqrt(2.0) / 2.0
+    assert wide._r_pack_measured == 0.5
+
+
 def test_packing_radius_is_measured_once_per_set(monkeypatch):
     ps = cs.gen_jittered(2, 12.0, 0.25, 3)
     radii = cs.measure_radii(ps, 2.0)
@@ -518,7 +575,71 @@ def test_covering_search_equals_the_unpruned_search(d, make):
     sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
     for R_dom, res in ((ps.region_radius - 1.0, 0.05), (ps.region_radius, 0.2)):
         want = _covering_bnb_unpruned(sites, d, R_dom, res)
-        assert pointsets._covering_bnb(sites, d, R_dom, res) == want
+        assert pointsets._covering_bnb(sites, d, R_dom, res, math.inf) == want
+
+
+def test_stopped_covering_search_equals_the_full_search():
+    # with margin >= the structural covering radius c, the search may stop
+    # once it reaches c, and then returns the full search's pair bit for
+    # bit; with margin < c measure_radii passes no bound, since the full
+    # search can then exceed c near the window's edge
+    for d, radii_at in ((2, (10.0, 17.5, 30.0, 9.95)), (3, (6.0, 9.95, 14.0))):
+        res = pointsets._RESOLUTION[d]
+        for R in radii_at:
+            ps = cs.gen_lattice(d, R)
+            sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
+            c = pointsets._structural_r_cover(ps)
+            assert c == math.sqrt(d) / 2
+            for margin in (c, c + 0.5, 0.0, c / 2):
+                full = pointsets._covering_bnb(sites, d, R - margin, res, math.inf)
+                got = cs.measure_radii(ps, margin)
+                assert (got.r_cover, got.probe_resolution) == full
+                if margin >= c:
+                    assert pointsets._covering_bnb(sites, d, R - margin, res,
+                                                   c) == full == (c, 0.0)
+                else:
+                    assert full[0] + full[1] > c
+
+
+def test_structural_covering_radius_bounds_the_full_search(grid_sets):
+    # the oracle of _structural_r_cover: the full search's r_cover +
+    # probe_resolution never exceeds it.  The grid lattices run the full
+    # search here; jittered and Poisson sets have no structural bound.
+    for (d, kind), (ps, radii) in grid_sets[0].items():
+        c = pointsets._structural_r_cover(ps)
+        if d == 1:
+            continue
+        if kind != "lattice":
+            assert c == math.inf, (d, kind)
+            continue
+        sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
+        full = pointsets._covering_bnb(sites, d, ps.region_radius - RADII_MARGIN,
+                                       pointsets._RESOLUTION[d], math.inf)
+        assert full == (radii.r_cover, radii.probe_resolution)
+        assert radii.r_cover_upper <= c == math.sqrt(d) / 2, d
+
+
+def test_a_lattice_missing_a_site_gets_no_structural_covering_radius():
+    # the stop reads the rows, not meta: Z^2 in R = 20 with the site
+    # (-10, 0) deleted, its meta copied, has a hole that the full search
+    # finds; an exact copy and a reordered copy stay sound as well
+    ps = cs.gen_lattice(2, 20.0)
+    gone = (ps.points == [-10.0, 0.0]).all(axis=1)
+    holed = cs.PointSet(dim=2, points=ps.points[~gone], region_radius=20.0,
+                     meta=dict(ps.meta))
+    assert pointsets._structural_r_cover(holed) == math.inf
+    radii = cs.measure_radii(holed, 2.0)
+    sites = np.concatenate([holed.points, np.zeros((1, 2))], axis=0)
+    full = pointsets._covering_bnb(sites, 2, 18.0, pointsets._RESOLUTION[2],
+                                   math.inf)
+    assert (radii.r_cover, radii.probe_resolution) == full
+    assert radii.r_cover > 0.96 > math.sqrt(2) / 2
+    copy = cs.PointSet(dim=2, points=ps.points.copy(), region_radius=20.0)
+    assert pointsets._structural_r_cover(copy) == math.sqrt(2) / 2
+    shuffled = cs.PointSet(dim=2, points=ps.points[::-1], region_radius=20.0,
+                        meta=dict(ps.meta))
+    assert pointsets._structural_r_cover(shuffled) == math.inf
+    assert cs.measure_radii(shuffled, 2.0) == cs.measure_radii(ps, 2.0)
 
 
 def _brute_distance_max(ps, R_dom, s):
