@@ -14,6 +14,8 @@ two's-complement 64-bit words before mixing.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -41,9 +43,18 @@ def _as_u64(key) -> np.ndarray:
 
 
 def counter_hash(seed: int, *keys) -> np.ndarray:
-    """64-bit hash of (seed, keys...); keys broadcast like numpy operands."""
+    """64-bit hash of (seed, keys...); keys broadcast like numpy operands.
+
+    The seed must be an integer in [-2^63, 2^63), one int64 word; anything
+    else is refused with a ``ValueError`` that names it.
+    """
+    try:
+        word = np.int64(operator.index(seed))
+    except (TypeError, OverflowError):
+        raise ValueError("seed must be an integer in [-2^63, 2^63), "
+                         f"got {seed!r}") from None
     with np.errstate(over="ignore"):
-        h = _mix64(np.uint64(np.int64(seed)).reshape(()) + _GOLDEN)
+        h = _mix64(np.uint64(word).reshape(()) + _GOLDEN)
         for k in keys:
             h = _mix64(h ^ (_as_u64(k) + _GOLDEN))
     return h

@@ -59,6 +59,9 @@ def _write_json(path: str, args, params: dict | None = None, **fields) -> None:
 # window defaults per dimension for `ramsey` (d = 1 affords a very wide
 # window; the certificate budget at alpha = 1 needs one)
 _RAMSEY_RMAX = {1: 1.0e6, 2: 200.0, 3: 60.0}
+# the most rows a --tmax/--dt time grid may ask for, refused before any
+# allocation (the largest grid any test or benchmark runs has 8,001)
+_MAX_TIME_ROWS = 2 ** 24
 
 
 def _build_set(args) -> pointsets.PointSet:
@@ -92,10 +95,15 @@ def _add_set_flags(p: argparse.ArgumentParser,
 
 
 def _time_grid(args) -> np.ndarray:
-    """Times 0, dt, 2 dt, ... through tmax; refuses flags that build no grid."""
+    """Times 0, dt, 2 dt, ... through tmax; refuses flags that build no grid,
+    or one of more than ``_MAX_TIME_ROWS`` rows, before allocating it."""
     if not (math.isfinite(args.tmax) and args.tmax >= 0.0
             and math.isfinite(args.dt) and args.dt > 0.0):
         raise ValueError("--tmax must be finite and >= 0, --dt finite and > 0")
+    rows = args.tmax / args.dt + 0.5  # np.arange gives its ceiling
+    if rows > _MAX_TIME_ROWS:
+        raise ValueError(f"--tmax/--dt ask for {rows:.4g} time rows, more "
+                         f"than the cap of {_MAX_TIME_ROWS}")
     return np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
 
 
@@ -178,6 +186,8 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_basis(args) -> int:
+    if args.pairs < 0 or args.nrange < 0:
+        raise ValueError("--pairs and --nrange must be >= 0")
     rng_idx = np.arange(2 * args.pairs, dtype=np.int64)
     draws = counter_uniform(args.seed, rng_idx)
     pairs = []

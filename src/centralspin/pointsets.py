@@ -16,8 +16,8 @@ points, so this module is organized around three things:
   sampling;
 * empirical measurement of the two Delone constants (r_pack, r_cover), the
   covering radius by rigorous branch-and-bound probing of the 1-Lipschitz
-  distance-to-set function, which stops at the structural covering radius
-  of a complete integer lattice when the margin allows;
+  distance-to-set function; one row check finds a complete integer lattice,
+  whose r_pack is 1/2 and whose search, margin allowing, stops at sqrt(d)/2;
 * radial annulus counting together with the volume-argument count bounds
 
       (b/r_cover - 1)^d - (a/r_cover + 1)^d  <=  N(a, b)
@@ -99,26 +99,15 @@ def _cartesian(values: np.ndarray, d: int) -> np.ndarray:
                     axis=-1).reshape(-1, d)
 
 
-def _row_keys(rows: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
-    """Sorted int64 keys of integer-valued rows, and each axis's key stride.
-
-    A key is the mixed-radix number of a row shifted by its column minima,
-    with base max - min + 2 on each axis, so equal keys are equal rows, and
-    key + strides[k] is the key of that row plus the k-th unit vector (the
-    extra 1 in the base leaves room for it, with no carry).  None when a
-    coordinate exceeds 2^53 in magnitude or the keys would not fit in int64.
-    """
-    if not np.abs(rows).max() <= 2.0 ** 53:
-        return None
-    z = rows.astype(np.int64)
-    z -= z.min(axis=0)
-    base = (z.max(axis=0) + 2).tolist()
-    if math.prod(base) > 2 ** 62:
-        return None
-    strides = [math.prod(base[k + 1:]) for k in range(len(base))]
-    keys = z @ np.array(strides, dtype=np.int64)
-    keys.sort()
-    return keys, strides
+def _has_duplicate_rows(rows: np.ndarray) -> bool:
+    """Whether two of ``rows`` (one or more) are equal as floats, so -0.0
+    and 0.0 are the same coordinate: equal rows sort next to each other."""
+    order = np.lexsort(rows.T[::-1])
+    same = np.ones(rows.shape[0] - 1, dtype=bool)
+    for c in rows.T:
+        c = c[order]
+        same &= c[1:] == c[:-1]
+    return bool(same.any())
 
 
 def _check_dim(d: int) -> None:
@@ -165,16 +154,8 @@ class PointSet:
             raise ValueError("the origin (central spin site) cannot be a bath point")
         if pts.shape[0] and norms.max() > self.region_radius:
             raise ValueError("all points must satisfy |p| <= region_radius")
-        if pts.shape[0] > 1:
-            # equal rows are neighbours in lexicographic order; float
-            # equality, so -0.0 and 0.0 are the same coordinate
-            order = np.lexsort(pts.T[::-1])
-            same = np.ones(pts.shape[0] - 1, dtype=bool)
-            for c in pts.T:
-                c = c[order]
-                same &= c[1:] == c[:-1]
-            if same.any():
-                raise ValueError("duplicate points are not allowed")
+        if pts.shape[0] > 1 and _has_duplicate_rows(pts):
+            raise ValueError("duplicate points are not allowed")
         pts.setflags(write=False)
         norms.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -210,6 +191,21 @@ class PointSet:
         return xs
 
     @cached_property
+    def _is_lattice(self) -> bool:
+        """Whether the rows are, in order, ``gen_lattice``'s output (the
+        check ``_structural_r_cover`` describes)."""
+        m = int(self.region_radius / self.dim)  # |z_k| <= m lies in the ball
+        if self.n_points < (2 * m + 1) ** self.dim - 1:
+            return False  # too few rows; enumerating them would grow with R
+        stored = 0
+        for block in _probe_lattice(self.dim, self.region_radius, 1.0, 1.0):
+            rows = self.points[stored:stored + block.shape[0]]
+            if not np.array_equal(rows, block):
+                return False
+            stored += block.shape[0]
+        return stored == self.n_points
+
+    @cached_property
     def _r_pack_measured(self) -> float:
         """Half the minimum pairwise distance over every stored point.
 
@@ -217,25 +213,17 @@ class PointSet:
         in d >= 2; +inf for a set of fewer than 2 points.  ``measure_radii``
         reports it as ``r_pack``.
 
-        An integral set in d >= 2 that holds a unit pair, some row p and
-        p + e_k (found by ``_row_keys``), skips the query: its distinct rows
-        lie >= 1 apart, and the witness pair exactly 1 apart, so the minimum
-        is 1 and the radius 1/2.  The KD query reports sqrt(1.0) / 2, the
-        same float.
+        A lattice (``_is_lattice``) of more than 2d sites in d >= 2 takes
+        no query: only +-e_k have z.z = 1, so some z has 2 <= z.z <= fl(R^2),
+        and e_1 and e_1 + e_2, 1 apart, are sites; distinct integer rows lie
+        >= 1 apart, so the radius is 1/2, the query's float sqrt(1.0) / 2.
         """
         if self.n_points < 2:
             return math.inf
         if self.dim == 1:
             return float(np.diff(self._sorted_line).min()) / 2.0
-        found = (_row_keys(self.points)
-                 if (self.points == np.rint(self.points)).all() else None)
-        if found:
-            keys, strides = found
-            for s in strides:
-                shifted = keys + s
-                hit = np.minimum(np.searchsorted(keys, shifted), keys.size - 1)
-                if (keys[hit] == shifted).any():
-                    return 0.5
+        if self.n_points > 2 * self.dim and self._is_lattice:
+            return 0.5
         nn_dist, _ = _nearest(self.points)(self.points, k=2)
         return float(nn_dist[:, 1].min()) / 2.0
 
@@ -245,12 +233,9 @@ class PointSet:
         structural = float(self.meta["r_pack_structural"])
         anchors = np.rint(self.points)
         eta = float(np.abs(self.points - anchors).max(initial=0.0))
-        if structural <= (1.0 - 2.0 * eta) / 2.0:
-            if eta == 0.0:  # the anchors are the rows, which are distinct
-                return structural
-            found = _row_keys(anchors)
-            if found and (np.diff(found[0]) != 0).all():
-                return structural
+        if structural <= (1.0 - 2.0 * eta) / 2.0 and (
+                eta == 0.0 or not _has_duplicate_rows(anchors)):
+            return structural
         return min(structural, self._r_pack_measured)
 
 
@@ -750,10 +735,9 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     shapes only the covering domain: r_cover is the maximum distance from
     any probe q with |q| <= region_radius - margin to the nearest site,
     since only covering feels the window's edge.  The probe search is
-    exact in d=1 and
-    branch-and-bound elsewhere, with the remaining gap reported as
-    probe_resolution.  A set of fewer than 2 points, or a margin that
-    leaves no probe domain, is refused.
+    exact in d=1 and branch-and-bound elsewhere, with the remaining gap
+    reported as probe_resolution.  A set of fewer than 2 points, or a
+    margin that leaves no probe domain, is refused.
 
     In d=1 both radii come from one sort of the line and no KD tree is
     built, so they never read CENTRALSPIN_THREADS.  The smallest neighbour
@@ -768,16 +752,17 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     r_cover = 1 from the probe at the origin instead of its true 1/2.)
 
     In d >= 2 the search stops as soon as it reaches the structural
-    covering radius c of ``_structural_r_cover`` (a complete integer
-    lattice, checked row by row), but only when margin >= c.  Then every probe q of the domain
-    has a site p of the infinite set, the origin included, with
-    |q - p| <= c, so |p| <= |q| + c <= region_radius: p is stored, and
-    dist(q, sites) <= c bounds the supremum over the domain.  On a
-    lattice the first level of centres holds deep holes at exactly
-    sqrt(d)/2, so it reports r_cover = sqrt(d)/2 with probe_resolution 0,
-    the pair the full search ends on after confirming every tie.  With a
-    smaller margin the nearest site of a probe near the edge may lie
-    beyond the window, no bound is passed, and the full search runs.
+    covering radius c of ``_structural_r_cover`` (a lattice, by the one
+    row check ``PointSet._is_lattice`` that r_pack reads too), but only
+    when margin >= c.  Then every probe q of the domain has a site p of
+    the infinite set, the origin included, with |q - p| <= c, so
+    |p| <= |q| + c <= region_radius: p is stored, and dist(q, sites) <= c
+    bounds the supremum over the domain.  On a lattice the first level of
+    centres holds deep holes at exactly sqrt(d)/2, so it reports r_cover
+    = sqrt(d)/2 with probe_resolution 0, the pair the full search ends on
+    after confirming every tie.  With a smaller margin the nearest site of
+    a probe near the edge may lie beyond the window, no bound is passed,
+    and the full search runs.
     """
     _check_margin(margin)
     R_dom = ps.region_radius - margin
@@ -833,9 +818,10 @@ def _certified_r_pack(ps: PointSet) -> float:
     forms in that coordinate is >= c = fl(1 - 2 eta), the sum of squares
     is >= fl(c * c), and sqrt(fl(c * c)) = c in binary64: the measured
     radius is >= c / 2 >= structural in floats too, and the minimum is
-    structural bit for bit.  An integral set (eta = 0) has distinct anchors
-    because ``PointSet`` refuses duplicate rows; other sets compare their
-    sorted ``_row_keys``.  A jittered set (eta <= jitter, structural
+    structural bit for bit.  An integral set (eta = 0) is its own anchors,
+    distinct because ``PointSet`` refuses duplicate rows, so it is never
+    sorted; other sets test theirs with ``_has_duplicate_rows``, the check
+    ``PointSet`` makes.  A jittered set (eta <= jitter, structural
     (1 - 2 jitter)/2) and an integer lattice take this proof.  Every other
     set is measured once, by the computation ``measure_radii`` reports
     (+inf below 2 points).
@@ -852,20 +838,14 @@ def _structural_r_cover(ps: PointSet) -> float:
 
     sqrt(d)/2 is the distance from a cell centre to its corners (Conway
     and Sloane, *Sphere Packings, Lattices and Groups*, ch. 2).  The rows
-    are checked, not ``meta``: they must be, in order, those of
-    ``_probe_lattice(d, region_radius, 1, 1)``, which holds every z in
-    Z^d \\ {0} with |z| <= region_radius (z.z is an integer, exact in
-    floats, and rounding is monotone, so z.z <= R^2 gives z.z <= fl(R^2)).
-    A lattice with a site deleted, moved or reordered gets +inf.
-    Poisson-disk samples get no bound here.
+    are checked, not ``meta``, by ``PointSet._is_lattice``: they must be,
+    in order, those of ``_probe_lattice(d, region_radius, 1, 1)``, which
+    holds every z in Z^d \\ {0} with |z| <= region_radius (z.z is an
+    integer, exact in floats, and rounding is monotone, so z.z <= R^2
+    gives z.z <= fl(R^2)).  A lattice with a site deleted, moved or
+    reordered gets +inf.  Poisson-disk samples get no bound here.
     """
-    stored = 0
-    for block in _probe_lattice(ps.dim, ps.region_radius, 1.0, 1.0):
-        rows = ps.points[stored:stored + block.shape[0]]
-        if not np.array_equal(rows, block):
-            return math.inf
-        stored += block.shape[0]
-    return math.sqrt(ps.dim) / 2.0 if stored == ps.n_points else math.inf
+    return math.sqrt(ps.dim) / 2.0 if ps._is_lattice else math.inf
 
 
 def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,

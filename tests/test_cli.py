@@ -193,9 +193,17 @@ def test_non_finite_region_exits_two(sub, rmax, tmp_path, monkeypatch, capsys):
     (["ramsey", "--dim", "2", "--tol", "0"], "tol must be > 0"),
     (["points", "--margin", "nan"], "margin must be >= 0"),
     (["bounds", "--margin", "-1"], "margin must be >= 0"),
+    (["ramsey", "--tmax", "1e12", "--dt", "1e-3"],
+     "--tmax/--dt ask for 1e+15 time rows, more than the cap of 16777216"),
+    (["spectra", "--tmax", "1e300", "--dt", "1e290"],
+     "--tmax/--dt ask for 1e+10 time rows, more than the cap of 16777216"),
+    (["basis", "--pairs", "-1"], "--pairs and --nrange must be >= 0"),
+    (["basis", "--nrange", "-2"], "--pairs and --nrange must be >= 0"),
 ], ids=["bounds-d3-alpha2", "bounds-alpha-nan", "ramsey-d3-alpha1",
         "ramsey-alpha-inf", "ramsey-tol0", "points-margin-nan",
-        "bounds-margin-negative"])
+        "bounds-margin-negative", "ramsey-grid-too-long",
+        "spectra-grid-too-long", "basis-pairs-negative",
+        "basis-nrange-negative"])
 def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
                                                         monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
@@ -207,6 +215,22 @@ def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
     monkeypatch.chdir(tmp_path)
     assert cli.run(argv + ["--out", "x.json"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "--dim", "2", "--set", "jitter", "--rmax", "5"],
+    ["points", "--dim", "2", "--set", "poisson", "--rmax", "5"],
+    ["basis"],
+    ["spectra", "cantor"],
+], ids=["points-jitter", "points-poisson", "basis", "spectra-cantor"])
+@pytest.mark.parametrize("seed", [str(2 ** 63), "-99999999999999999999"])
+def test_a_seed_outside_int64_exits_two(argv, seed, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv + ["--seed", seed, "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: seed must be an integer in [-2^63, 2^63), got {seed}\n")
     assert not os.listdir(tmp_path)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.spatial import cKDTree
 
 import centralspin as cs
 from centralspin import pointsets
+from centralspin._rng import counter_hash
 from conftest import JITTER_ETA, RADII_MARGIN
 
 # default probe spacing of the Poisson-disk fill sweep (r_min / 10 for
@@ -133,6 +135,34 @@ def test_jitter_displaces_each_site_by_at_most_eta():
 def test_jitter_separation_property(eta, seed):
     ps = cs.gen_jittered(2, 12.0, eta, seed)
     assert min_pair_distance(ps) >= 1.0 - 2.0 * eta - 1e-9
+
+
+# sha256 prefixes of gen_jittered(2, 5, 0.25, seed) and
+# gen_poisson_disk(2, 5, 1, seed) points, and counter_hash(seed, 0..2),
+# recorded before seeds were range-checked, at the int64 edges and -1
+SEED_EDGES = {
+    -1: ("6a00a624a3879a45", "917cb27399bc799b",
+         [4815193057359064352, 6187950774067792790, 2836844538630218676]),
+    0: ("be184868631e3221", "016b7a605e055fe6",
+        [258863698125685209, 5219921735007109793, 8504457784064988479]),
+    2 ** 63 - 1: ("4ebd1ab5a44dd34d", "35182b57be8f168f",
+                  [16656206196686635526, 4492361941259654510,
+                   908118396257486133]),
+}
+
+
+def test_seeds_outside_int64_are_refused_and_edge_seeds_unchanged():
+    for seed in (2 ** 63, -2 ** 63 - 1, 10 ** 20, 1.5, "3"):
+        for make in (cs.gen_jittered, cs.gen_poisson_disk):
+            with pytest.raises(ValueError, match=r"seed must be an integer "
+                               r"in \[-2\^63, 2\^63\), got " + re.escape(repr(seed))):
+                make(2, 5.0, 0.25 if make is cs.gen_jittered else 1.0, seed)
+    for seed, (jitter, poisson, words) in SEED_EDGES.items():
+        assert _digest(cs.gen_jittered(2, 5.0, 0.25, seed))[:16] == jitter
+        assert _digest(cs.gen_poisson_disk(2, 5.0, 1.0, seed))[:16] == poisson
+        got = counter_hash(seed, np.arange(3, dtype=np.int64))
+        assert [int(w) for w in got] == words
+    assert cs.gen_jittered(2, 5.0, 0.25, -2 ** 63).n_points > 0
 
 
 def test_jitter_requires_eta_below_half():
@@ -487,37 +517,79 @@ def test_jittered_packing_radius_is_proved_from_distinct_anchors(monkeypatch):
                         meta={"r_pack_structural": 0.05})
     assert pointsets._certified_r_pack(twins) == 0.05
     assert twins._r_pack_measured == pytest.approx(0.1)
+    # anchors -0.0 and 0.0 collide across zero: float equality, so measured
+    signed = cs.PointSet(2, [[-0.4, 3.0], [0.3, 3.0]], 10.0,
+                         meta={"r_pack_structural": 0.05})
+    assert pointsets._certified_r_pack(signed) == 0.05
+    assert "_r_pack_measured" in signed.__dict__
+    assert signed._r_pack_measured == pytest.approx(0.35)
 
 
-def test_unit_pair_reads_the_packing_radius_without_a_kd_query(monkeypatch):
-    # an integral set with a row p and p + e_k measures 1/2 with no KD query,
-    # the float the query gives; 2 Z^d (no unit pair) and a set whose keys
-    # would overflow int64 take the query
+def test_a_lattice_reads_its_packing_radius_without_a_kd_query(monkeypatch):
+    # gen_lattice's output of more than 2d sites (R = 15 and R = sqrt 2)
+    # holds e_1 and e_1 + e_2, 1 apart, so it measures 1/2 with no KD query,
+    # the float the query gives; a lattice of 2d sites (R = 1.2) and every
+    # set that is not gen_lattice's output take the query, including
+    # integral sets holding a unit pair (axis0, wide)
     def must_not_run(*args, **kwargs):
         raise AssertionError("the packing radius took a KD query")
 
+    small = [cs.gen_lattice(d, 1.2) for d in (2, 3)]
     evens = [cs.PointSet(d, 2.0 * cs.gen_lattice(d, 15.0).points, 30.0)
              for d in (2, 3)]
     diagonal = cs.PointSet(2, [[1.0, 0.0], [2.0, 1.0]], 5.0)
-    # key bases of about 2e6 on each axis: their product exceeds 2^62
+    axis0 = cs.PointSet(2, [[3.0, 0.0], [4.0, 0.0], [0.0, 7.0]], 10.0)
     wide = cs.PointSet(3, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-2e6, 0.0, 0.0],
                            [0.0, -2e6, 0.0], [0.0, 0.0, -2e6]], 3e6)
-    assert pointsets._row_keys(wide.points) is None
     with monkeypatch.context() as m:
         m.setattr(pointsets, "_nearest", must_not_run)
         for d in (2, 3):
-            lat = cs.gen_lattice(d, 15.0)
-            assert lat._r_pack_measured == 0.5 == min_pair_distance(lat) / 2.0
-        # the only unit pair lies along the first axis
-        axis0 = cs.PointSet(2, [[3.0, 0.0], [4.0, 0.0], [0.0, 7.0]], 10.0)
-        assert axis0._r_pack_measured == 0.5
-        for ps in evens + [diagonal, wide]:
+            for R in (15.0, math.sqrt(2.0)):
+                lat = cs.gen_lattice(d, R)
+                assert lat.n_points > 2 * d
+                assert lat._r_pack_measured == 0.5 == min_pair_distance(lat) / 2.0
+        for ps in small + evens + [diagonal, axis0, wide]:
             with pytest.raises(AssertionError, match="KD query"):
                 ps._r_pack_measured
+    for lat in small:
+        p = lat.points
+        gaps = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2))
+        brute = gaps[~np.eye(p.shape[0], dtype=bool)].min()
+        assert lat.n_points == 2 * lat.dim
+        assert lat._r_pack_measured == math.sqrt(2.0) / 2.0 == brute / 2.0
     for even in evens:
         assert even._r_pack_measured == 1.0 == min_pair_distance(even) / 2.0
     assert diagonal._r_pack_measured == math.sqrt(2.0) / 2.0
-    assert wide._r_pack_measured == 0.5
+    assert axis0._r_pack_measured == 0.5 == wide._r_pack_measured
+
+
+def test_the_lattice_check_runs_once_per_set(monkeypatch):
+    # measure_radii's covering stop and the packing radius read one cached
+    # PointSet._is_lattice: the rows are enumerated once per set
+    sets = [cs.gen_lattice(3, 8.0), cs.gen_jittered(3, 8.0, 0.25, 3)]
+    calls = []
+    real = pointsets._probe_lattice
+
+    def counted(*args):
+        calls.append(args)
+        assert args[1] <= 100.0, "enumerated a region far larger than the set"
+        return real(*args)
+
+    monkeypatch.setattr(pointsets, "_probe_lattice", counted)
+    for ps, is_lattice in zip(sets, (True, False)):
+        calls.clear()
+        radii = cs.measure_radii(ps, 2.0)
+        assert ps._r_pack_measured == radii.r_pack
+        assert (pointsets._structural_r_cover(ps) == math.sqrt(3) / 2) == is_lattice
+        assert ps._is_lattice is is_lattice
+        assert calls == [(3, 8.0, 1.0, 1.0)]
+    assert sets[0]._r_pack_measured == 0.5
+    # fewer rows than the ball's inner cube: no enumeration, whose memory
+    # grows with the region, and the KD query measures r_pack
+    sparse = cs.PointSet(3, 2.0 * cs.gen_lattice(3, 1.5).points, 1e5)
+    calls.clear()
+    assert sparse._r_pack_measured == 1.0
+    assert sparse._is_lattice is False and calls == []
 
 
 def test_packing_radius_is_measured_once_per_set(monkeypatch):

@@ -313,6 +313,15 @@ def test_char_function_validates_sample_count():
         cs.char_function_check(100, [1.0], seed=0)
 
 
+def test_char_function_refuses_a_seed_outside_int64():
+    for seed in (2 ** 63, -2 ** 63 - 1):
+        with pytest.raises(ValueError, match=f"got {seed}$"):
+            cs.char_function_check(10 ** 4, [1.0], seed=seed)
+    # the int64 edges still draw
+    for seed in (-2 ** 63, 2 ** 63 - 1):
+        assert cs.char_function_check(10 ** 4, [1.0], seed=seed).all_ok
+
+
 def test_char_function_refuses_an_empty_time_list():
     with pytest.raises(ValueError, match="at least one time"):
         cs.char_function_check(10 ** 4, [], seed=1)
