@@ -62,6 +62,9 @@ _RAMSEY_RMAX = {1: 1.0e6, 2: 200.0, 3: 60.0}
 # the most rows a --tmax/--dt time grid may ask for, refused before any
 # allocation (the largest grid any test or benchmark runs has 8,001)
 _MAX_TIME_ROWS = 2 ** 24
+# the deepest digit map `spectra cantor` reads: its samples are odd multiples
+# of 2^-53, dyadic rationals of level 53 that d_map_exact refuses at depth 53
+_CANTOR_MAX_DEPTH = 52
 
 
 def _build_set(args) -> pointsets.PointSet:
@@ -161,6 +164,9 @@ def _cmd_spectra(args) -> int:
     if args.mode == "cantor":
         if args.n < 1:
             raise ValueError("--n must be >= 1")
+        if not 1 <= args.depth <= _CANTOR_MAX_DEPTH:
+            raise ValueError(f"--depth must be in [1, {_CANTOR_MAX_DEPTH}] "
+                             f"for cantor, got {args.depth}")
         idx = np.arange(args.n, dtype=np.int64)
         # open-interval sampler: odd 53-bit mantissas are never dyadic at
         # any level the digit map inspects, so D(x) is always defined
@@ -188,6 +194,13 @@ def _cmd_spectra(args) -> int:
 def _cmd_basis(args) -> int:
     if args.pairs < 0 or args.nrange < 0:
         raise ValueError("--pairs and --nrange must be >= 0")
+    # the Fourier loop's largest |m| is 2^kmax * nrange + 2^(kmax-1), and
+    # fourier_coeff takes k <= 20 and |m| <= 10^6
+    k = args.kmax
+    if not 0 <= k <= 20 or (k and (args.nrange << k) + (1 << (k - 1)) > 10 ** 6):
+        raise ValueError("--kmax must be in [0, 20] with largest Fourier index "
+                         "2^kmax * nrange + 2^(kmax-1) <= 10^6, got --kmax "
+                         f"{k} --nrange {args.nrange}")
     rng_idx = np.arange(2 * args.pairs, dtype=np.int64)
     draws = counter_uniform(args.seed, rng_idx)
     pairs = []

@@ -16,8 +16,8 @@ points, so this module is organized around three things:
   sampling;
 * empirical measurement of the two Delone constants (r_pack, r_cover), the
   covering radius by rigorous branch-and-bound probing of the 1-Lipschitz
-  distance-to-set function; one row check finds a complete integer lattice,
-  whose r_pack is 1/2 and whose search, margin allowing, stops at sqrt(d)/2;
+  distance-to-set function; ``gen_lattice`` marks its output, whose r_pack
+  is 1/2 and whose r_cover, margin allowing, is sqrt(d)/2 with no search;
 * radial annulus counting together with the volume-argument count bounds
 
       (b/r_cover - 1)^d - (a/r_cover + 1)^d  <=  N(a, b)
@@ -132,6 +132,9 @@ class PointSet:
     structural packing-radius certificate ``r_pack_structural`` that the
     tail-bound machinery relies on.  ``radii`` holds the radial distances
     rho = |p|, the norms taken once to validate the set (read-only).
+    ``_is_lattice`` is True only on ``gen_lattice``'s output, which sets it
+    after construction; neither the constructor nor ``dataclasses.replace``
+    can, so every other set, a copy of a lattice included, reads False.
     """
 
     dim: int
@@ -139,6 +142,7 @@ class PointSet:
     region_radius: float
     meta: Mapping[str, Any] = field(default_factory=dict)
     radii: np.ndarray = field(init=False, repr=False)
+    _is_lattice: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
@@ -191,21 +195,6 @@ class PointSet:
         return xs
 
     @cached_property
-    def _is_lattice(self) -> bool:
-        """Whether the rows are, in order, ``gen_lattice``'s output (the
-        check ``_structural_r_cover`` describes)."""
-        m = int(self.region_radius / self.dim)  # |z_k| <= m lies in the ball
-        if self.n_points < (2 * m + 1) ** self.dim - 1:
-            return False  # too few rows; enumerating them would grow with R
-        stored = 0
-        for block in _probe_lattice(self.dim, self.region_radius, 1.0, 1.0):
-            rows = self.points[stored:stored + block.shape[0]]
-            if not np.array_equal(rows, block):
-                return False
-            stored += block.shape[0]
-        return stored == self.n_points
-
-    @cached_property
     def _r_pack_measured(self) -> float:
         """Half the minimum pairwise distance over every stored point.
 
@@ -213,10 +202,12 @@ class PointSet:
         in d >= 2; +inf for a set of fewer than 2 points.  ``measure_radii``
         reports it as ``r_pack``.
 
-        A lattice (``_is_lattice``) of more than 2d sites in d >= 2 takes
-        no query: only +-e_k have z.z = 1, so some z has 2 <= z.z <= fl(R^2),
-        and e_1 and e_1 + e_2, 1 apart, are sites; distinct integer rows lie
-        >= 1 apart, so the radius is 1/2, the query's float sqrt(1.0) / 2.
+        A lattice of more than 2d sites in d >= 2 (``_is_lattice``, the
+        mark ``gen_lattice`` sets) takes no query: only +-e_k have z.z = 1,
+        so some z has 2 <= z.z <= fl(R^2), and e_1 and e_1 + e_2, 1 apart,
+        are sites; distinct integer rows lie >= 1 apart, so the radius is
+        1/2, the query's float sqrt(1.0) / 2.  An unmarked copy of the rows
+        takes the query and gets the same float.
         """
         if self.n_points < 2:
             return math.inf
@@ -300,7 +291,9 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
     pts = np.concatenate(tuple(_probe_lattice(d, R_max, 1.0, 1.0)))
     meta = {"kind": "lattice", "dim": d, "R_max": float(R_max),
             "r_pack_structural": 0.5}
-    return PointSet(dim=d, points=pts, region_radius=float(R_max), meta=meta)
+    ps = PointSet(dim=d, points=pts, region_radius=float(R_max), meta=meta)
+    object.__setattr__(ps, "_is_lattice", True)
+    return ps
 
 
 def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
@@ -641,7 +634,7 @@ _KD_PAD = 1e-12  # relative gap allowed between numpy and cKDTree distances
 
 
 def _covering_bnb(sites: np.ndarray, d: int, R_dom: float,
-                  resolution: float, bound: float) -> tuple[float, float]:
+                  resolution: float) -> tuple[float, float]:
     """Branch-and-bound estimate of sup_{|q| <= R_dom} dist(q, sites).
 
     The distance-to-set function is 1-Lipschitz, so a cell of half-diagonal
@@ -649,18 +642,6 @@ def _covering_bnb(sites: np.ndarray, d: int, R_dom: float,
     no better probe and is pruned; survivors are subdivided until the
     half-diagonal falls below ``resolution``.  Returns (best, gap): the true
     supremum lies in [best, best + gap].
-
-    ``bound`` is an upper bound on that supremum known in advance
-    (``math.inf`` for none).  Every incumbent is the distance of a probe of
-    the domain, so as soon as best >= bound,
-
-        sup <= bound <= best <= sup,
-
-    the incumbent is the supremum, and the search returns (best, 0.0): the
-    ordinary branch-and-bound stop, when no cell's upper bound
-    min(dist + hd, bound) can beat the incumbent.  Distances here are
-    floats, as everywhere in the search, so the chain holds up to their
-    rounding, which ``r_cover`` carries whether or not the search stops.
 
     Children are also skipped *before* their KD query.  The query of a kept
     parent returns its nearest site p, and every child c satisfies
@@ -688,8 +669,6 @@ def _covering_bnb(sites: np.ndarray, d: int, R_dom: float,
         inside = (centers ** 2).sum(axis=1) <= R_dom * R_dom
         if inside.any():
             best = max(best, float(dist[inside].max()))
-        if best >= bound:
-            return best, 0.0
         if hd <= resolution:
             ub = dist + hd
             gap = max(0.0, float(ub.max()) - best) if ub.size else 0.0
@@ -751,18 +730,15 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     geometry.  (Without this, the 1-D integer lattice would report
     r_cover = 1 from the probe at the origin instead of its true 1/2.)
 
-    In d >= 2 the search stops as soon as it reaches the structural
-    covering radius c of ``_structural_r_cover`` (a lattice, by the one
-    row check ``PointSet._is_lattice`` that r_pack reads too), but only
-    when margin >= c.  Then every probe q of the domain has a site p of
-    the infinite set, the origin included, with |q - p| <= c, so
-    |p| <= |q| + c <= region_radius: p is stored, and dist(q, sites) <= c
-    bounds the supremum over the domain.  On a lattice the first level of
-    centres holds deep holes at exactly sqrt(d)/2, so it reports r_cover
-    = sqrt(d)/2 with probe_resolution 0, the pair the full search ends on
-    after confirming every tie.  With a smaller margin the nearest site of
-    a probe near the edge may lie beyond the window, no bound is passed,
-    and the full search runs.
+    A lattice (``_structural_r_cover`` c = sqrt(d)/2) is not searched
+    when margin >= c and the deep hole (1/2, ..., 1/2) lies in the domain,
+    by the float test 0.25 d <= R_dom^2 that the search's first level
+    makes.  Every probe q then has a site p of Z^d, the origin included,
+    with |q - p| <= c, so |p| <= |q| + c <= region_radius: p is stored,
+    and c bounds the supremum, which the deep hole attains.  r_cover = c
+    with probe_resolution 0 is the pair the search ends on after
+    confirming every tie.  With a smaller margin the nearest site of a
+    probe near the edge may lie beyond the window, and the search runs.
     """
     _check_margin(margin)
     R_dom = ps.region_radius - margin
@@ -770,6 +746,9 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
         raise ValueError("margin leaves no probe domain")
     if ps.n_points < 2:
         raise ValueError("need at least 2 points")
+    c = _structural_r_cover(ps)
+    if margin >= c and 0.25 * ps.dim <= R_dom * R_dom:
+        return DeloneRadii(r_pack=ps._r_pack_measured, r_cover=c)
     if ps.dim == 1:
         xs = ps._sorted_line
         sites = np.insert(xs, np.searchsorted(xs, 0.0), 0.0)
@@ -777,9 +756,7 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
                            r_cover=_covering_exact_1d(sites, R_dom))
 
     sites = np.concatenate([ps.points, np.zeros((1, ps.dim))], axis=0)
-    bound = _structural_r_cover(ps)
-    r_cover, gap = _covering_bnb(sites, ps.dim, R_dom, _RESOLUTION[ps.dim],
-                                 bound if margin >= bound else math.inf)
+    r_cover, gap = _covering_bnb(sites, ps.dim, R_dom, _RESOLUTION[ps.dim])
     return DeloneRadii(r_pack=ps._r_pack_measured, r_cover=r_cover,
                        probe_resolution=gap)
 
@@ -837,13 +814,15 @@ def _structural_r_cover(ps: PointSet) -> float:
     +inf for every other set.
 
     sqrt(d)/2 is the distance from a cell centre to its corners (Conway
-    and Sloane, *Sphere Packings, Lattices and Groups*, ch. 2).  The rows
-    are checked, not ``meta``, by ``PointSet._is_lattice``: they must be,
-    in order, those of ``_probe_lattice(d, region_radius, 1, 1)``, which
-    holds every z in Z^d \\ {0} with |z| <= region_radius (z.z is an
-    integer, exact in floats, and rounding is monotone, so z.z <= R^2
-    gives z.z <= fl(R^2)).  A lattice with a site deleted, moved or
-    reordered gets +inf.  Poisson-disk samples get no bound here.
+    and Sloane, *Sphere Packings, Lattices and Groups*, ch. 2).  The set
+    is known by ``PointSet._is_lattice``, the mark ``gen_lattice`` sets at
+    construction, not by ``meta`` or a row check.  The mark is sound: the
+    rows are ``_probe_lattice(d, region_radius, 1, 1)``, every z != 0 with
+    z.z <= fl(R^2) (z.z is an integer, exact in floats, and rounding is
+    monotone, so this is every z with |z| <= R), and they are read-only.
+    The mark never enters ``meta``.  A hand-built set, an exact copy of a
+    lattice included, gets +inf and the full search, which returns the
+    same floats; Poisson-disk samples get no bound here.
     """
     return math.sqrt(ps.dim) / 2.0 if ps._is_lattice else math.inf
 

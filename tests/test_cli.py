@@ -199,11 +199,20 @@ def test_non_finite_region_exits_two(sub, rmax, tmp_path, monkeypatch, capsys):
      "--tmax/--dt ask for 1e+10 time rows, more than the cap of 16777216"),
     (["basis", "--pairs", "-1"], "--pairs and --nrange must be >= 0"),
     (["basis", "--nrange", "-2"], "--pairs and --nrange must be >= 0"),
+    (["basis", "--kmax", "-1"], "--kmax must be in [0, 20] with largest "
+     "Fourier index 2^kmax * nrange + 2^(kmax-1) <= 10^6, got --kmax -1 "
+     "--nrange 10"),
+    (["basis", "--kmax", "17"], "--kmax must be in [0, 20] with largest "
+     "Fourier index 2^kmax * nrange + 2^(kmax-1) <= 10^6, got --kmax 17 "
+     "--nrange 10"),
+    (["spectra", "cantor", "--depth", "53", "--n", "5"],
+     "--depth must be in [1, 52] for cantor, got 53"),
 ], ids=["bounds-d3-alpha2", "bounds-alpha-nan", "ramsey-d3-alpha1",
         "ramsey-alpha-inf", "ramsey-tol0", "points-margin-nan",
         "bounds-margin-negative", "ramsey-grid-too-long",
         "spectra-grid-too-long", "basis-pairs-negative",
-        "basis-nrange-negative"])
+        "basis-nrange-negative", "basis-kmax-negative",
+        "basis-kmax-too-large", "spectra-cantor-depth-53"])
 def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
                                                         monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
@@ -238,7 +247,8 @@ def test_a_seed_outside_int64_exits_two(argv, seed, tmp_path, monkeypatch,
 # whether scipy got imported: only a KD query should load it.  A lattice's
 # packing radius is proved from its integer coordinates, and a jittered
 # set's from its distinct integer anchors, so ramsey on either queries no
-# tree in any dimension (d = 3 at its default window).
+# tree in any dimension (d = 3 at its default window); a lattice's radii at
+# margin >= sqrt(d)/2 are read, not searched, so `points` queries none.
 SCIPY_PROBE = """\
 import sys
 import centralspin
@@ -264,11 +274,13 @@ print(rc, "scipy" in sys.modules)
      False),
     (["points", "--dim", "2", "--set", "poisson", "--rmax", "8",
       "--out", "p.csv"], True),
+    (["points", "--dim", "3", "--set", "lattice", "--rmax", "20", "--margin",
+      "2", "--out", "p3.csv"], False),
     (["ramsey", "--dim", "2", "--set", "jitter", "--alpha", "1.5", "--tol", "2",
       "--rmax", "30", "--out", "rj.csv"], False),
 ], ids=["import", "spectra-product", "spectra-cantor", "basis", "bounds-d1",
         "ramsey-d1", "ramsey-d2", "ramsey-d3-default-window", "points-poisson",
-        "ramsey-d2-jitter"])
+        "points-d3-lattice", "ramsey-d2-jitter"])
 def test_scipy_is_imported_only_by_a_kd_query(argv, loads_scipy, tmp_path):
     res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
                          cwd=tmp_path, env=CHILD_ENV, capture_output=True,

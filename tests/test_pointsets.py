@@ -1,5 +1,6 @@
 """Point-set generators, Delone radii, and annulus counting."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -563,33 +564,26 @@ def test_a_lattice_reads_its_packing_radius_without_a_kd_query(monkeypatch):
     assert axis0._r_pack_measured == 0.5 == wide._r_pack_measured
 
 
-def test_the_lattice_check_runs_once_per_set(monkeypatch):
-    # measure_radii's covering stop and the packing radius read one cached
-    # PointSet._is_lattice: the rows are enumerated once per set
+def test_recognising_a_lattice_enumerates_no_rows(monkeypatch):
+    # PointSet._is_lattice is the mark gen_lattice sets at construction:
+    # measure_radii and the packing radius read it, and no rows are
+    # enumerated again, for a lattice or any other set
     sets = [cs.gen_lattice(3, 8.0), cs.gen_jittered(3, 8.0, 0.25, 3)]
-    calls = []
-    real = pointsets._probe_lattice
+    # a set far sparser than its ball, which a row check would enumerate
+    sparse = cs.PointSet(3, 2.0 * cs.gen_lattice(3, 1.5).points, 1e5)
 
-    def counted(*args):
-        calls.append(args)
-        assert args[1] <= 100.0, "enumerated a region far larger than the set"
-        return real(*args)
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the rows were enumerated again")
 
-    monkeypatch.setattr(pointsets, "_probe_lattice", counted)
+    monkeypatch.setattr(pointsets, "_probe_lattice", must_not_run)
     for ps, is_lattice in zip(sets, (True, False)):
-        calls.clear()
         radii = cs.measure_radii(ps, 2.0)
         assert ps._r_pack_measured == radii.r_pack
         assert (pointsets._structural_r_cover(ps) == math.sqrt(3) / 2) == is_lattice
         assert ps._is_lattice is is_lattice
-        assert calls == [(3, 8.0, 1.0, 1.0)]
     assert sets[0]._r_pack_measured == 0.5
-    # fewer rows than the ball's inner cube: no enumeration, whose memory
-    # grows with the region, and the KD query measures r_pack
-    sparse = cs.PointSet(3, 2.0 * cs.gen_lattice(3, 1.5).points, 1e5)
-    calls.clear()
+    assert pointsets._structural_r_cover(sparse) == math.inf
     assert sparse._r_pack_measured == 1.0
-    assert sparse._is_lattice is False and calls == []
 
 
 def test_packing_radius_is_measured_once_per_set(monkeypatch):
@@ -647,28 +641,39 @@ def test_covering_search_equals_the_unpruned_search(d, make):
     sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
     for R_dom, res in ((ps.region_radius - 1.0, 0.05), (ps.region_radius, 0.2)):
         want = _covering_bnb_unpruned(sites, d, R_dom, res)
-        assert pointsets._covering_bnb(sites, d, R_dom, res, math.inf) == want
+        assert pointsets._covering_bnb(sites, d, R_dom, res) == want
 
 
-def test_stopped_covering_search_equals_the_full_search():
-    # with margin >= the structural covering radius c, the search may stop
-    # once it reaches c, and then returns the full search's pair bit for
-    # bit; with margin < c measure_radii passes no bound, since the full
-    # search can then exceed c near the window's edge
-    for d, radii_at in ((2, (10.0, 17.5, 30.0, 9.95)), (3, (6.0, 9.95, 14.0))):
-        res = pointsets._RESOLUTION[d]
+def test_stopped_covering_search_equals_the_full_search(monkeypatch):
+    # with margin >= the structural covering radius c, measure_radii reads
+    # (c, 0) with no KD query and no search, the full search's pair bit for
+    # bit; with margin < c the search runs, since it can then exceed c near
+    # the window's edge.  In d = 1 the full search is the exact one.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a lattice with margin >= c was searched")
+
+    for d, radii_at in ((1, (3.8, 10.9)), (2, (10.0, 17.5, 30.0, 9.95)),
+                        (3, (6.0, 9.95, 14.0))):
         for R in radii_at:
             ps = cs.gen_lattice(d, R)
             sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
             c = pointsets._structural_r_cover(ps)
             assert c == math.sqrt(d) / 2
             for margin in (c, c + 0.5, 0.0, c / 2):
-                full = pointsets._covering_bnb(sites, d, R - margin, res, math.inf)
-                got = cs.measure_radii(ps, margin)
+                if d == 1:
+                    full = (pointsets._covering_exact_1d(
+                        np.sort(sites[:, 0]), R - margin), 0.0)
+                else:
+                    full = pointsets._covering_bnb(sites, d, R - margin,
+                                                   pointsets._RESOLUTION[d])
+                with monkeypatch.context() as m:
+                    if margin >= c:
+                        m.setattr(pointsets, "_nearest", must_not_run)
+                        m.setattr(pointsets, "_covering_exact_1d", must_not_run)
+                    got = cs.measure_radii(ps, margin)
                 assert (got.r_cover, got.probe_resolution) == full
                 if margin >= c:
-                    assert pointsets._covering_bnb(sites, d, R - margin, res,
-                                                   c) == full == (c, 0.0)
+                    assert full == (c, 0.0)
                 else:
                     assert full[0] + full[1] > c
 
@@ -686,15 +691,17 @@ def test_structural_covering_radius_bounds_the_full_search(grid_sets):
             continue
         sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
         full = pointsets._covering_bnb(sites, d, ps.region_radius - RADII_MARGIN,
-                                       pointsets._RESOLUTION[d], math.inf)
+                                       pointsets._RESOLUTION[d])
         assert full == (radii.r_cover, radii.probe_resolution)
         assert radii.r_cover_upper <= c == math.sqrt(d) / 2, d
 
 
 def test_a_lattice_missing_a_site_gets_no_structural_covering_radius():
-    # the stop reads the rows, not meta: Z^2 in R = 20 with the site
-    # (-10, 0) deleted, its meta copied, has a hole that the full search
-    # finds; an exact copy and a reordered copy stay sound as well
+    # the structural radius reads gen_lattice's mark, not meta or the rows:
+    # Z^2 in R = 20 with the site (-10, 0) deleted, its meta copied, has a
+    # hole that the full search finds; an exact copy, a replace() copy and
+    # a reordered copy carry no mark, and the search gives the lattice's
+    # radii on each
     ps = cs.gen_lattice(2, 20.0)
     gone = (ps.points == [-10.0, 0.0]).all(axis=1)
     holed = cs.PointSet(dim=2, points=ps.points[~gone], region_radius=20.0,
@@ -702,16 +709,19 @@ def test_a_lattice_missing_a_site_gets_no_structural_covering_radius():
     assert pointsets._structural_r_cover(holed) == math.inf
     radii = cs.measure_radii(holed, 2.0)
     sites = np.concatenate([holed.points, np.zeros((1, 2))], axis=0)
-    full = pointsets._covering_bnb(sites, 2, 18.0, pointsets._RESOLUTION[2],
-                                   math.inf)
+    full = pointsets._covering_bnb(sites, 2, 18.0, pointsets._RESOLUTION[2])
     assert (radii.r_cover, radii.probe_resolution) == full
     assert radii.r_cover > 0.96 > math.sqrt(2) / 2
     copy = cs.PointSet(dim=2, points=ps.points.copy(), region_radius=20.0)
-    assert pointsets._structural_r_cover(copy) == math.sqrt(2) / 2
+    replaced = dataclasses.replace(ps)
     shuffled = cs.PointSet(dim=2, points=ps.points[::-1], region_radius=20.0,
                         meta=dict(ps.meta))
-    assert pointsets._structural_r_cover(shuffled) == math.inf
-    assert cs.measure_radii(shuffled, 2.0) == cs.measure_radii(ps, 2.0)
+    assert pointsets._structural_r_cover(ps) == math.sqrt(2) / 2
+    for other in (copy, replaced, shuffled):
+        assert other._is_lattice is False
+        assert pointsets._structural_r_cover(other) == math.inf
+        for margin in (0.0, 2.0):
+            assert cs.measure_radii(other, margin) == cs.measure_radii(ps, margin)
 
 
 def _brute_distance_max(ps, R_dom, s):
