@@ -59,9 +59,10 @@ def _write_json(path: str, args, params: dict | None = None, **fields) -> None:
 # window defaults per dimension for `ramsey` (d = 1 affords a very wide
 # window; the certificate budget at alpha = 1 needs one)
 _RAMSEY_RMAX = {1: 1.0e6, 2: 200.0, 3: 60.0}
-# the most rows a --tmax/--dt time grid may ask for, refused before any
-# allocation (the largest grid any test or benchmark runs has 8,001)
-_MAX_TIME_ROWS = 2 ** 24
+# the most rows a --tmax/--dt time grid, `spectra cantor --n` or `basis
+# --pairs` may ask for, refused before any allocation (the largest grid any
+# test or benchmark runs has 8,001 rows)
+_MAX_ROWS = 2 ** 24
 # the deepest digit map `spectra cantor` reads: its samples are odd multiples
 # of 2^-53, dyadic rationals of level 53 that d_map_exact refuses at depth 53
 _CANTOR_MAX_DEPTH = 52
@@ -99,15 +100,22 @@ def _add_set_flags(p: argparse.ArgumentParser,
 
 def _time_grid(args) -> np.ndarray:
     """Times 0, dt, 2 dt, ... through tmax; refuses flags that build no grid,
-    or one of more than ``_MAX_TIME_ROWS`` rows, before allocating it."""
+    or one of more than ``_MAX_ROWS`` rows, before allocating it."""
     if not (math.isfinite(args.tmax) and args.tmax >= 0.0
             and math.isfinite(args.dt) and args.dt > 0.0):
         raise ValueError("--tmax must be finite and >= 0, --dt finite and > 0")
     rows = args.tmax / args.dt + 0.5  # np.arange gives its ceiling
-    if rows > _MAX_TIME_ROWS:
+    if rows > _MAX_ROWS:
         raise ValueError(f"--tmax/--dt ask for {rows:.4g} time rows, more "
-                         f"than the cap of {_MAX_TIME_ROWS}")
+                         f"than the cap of {_MAX_ROWS}")
     return np.arange(0.0, args.tmax + 0.5 * args.dt, args.dt)
+
+
+def _check_rows(flag: str, count: int, what: str) -> None:
+    """Refuse a ``flag`` that asks for more than ``_MAX_ROWS`` ``what``."""
+    if count > _MAX_ROWS:
+        raise ValueError(f"{flag} asks for {count} {what}, more than the cap "
+                         f"of {_MAX_ROWS}")
 
 
 def _cmd_points(args) -> int:
@@ -164,6 +172,7 @@ def _cmd_spectra(args) -> int:
     if args.mode == "cantor":
         if args.n < 1:
             raise ValueError("--n must be >= 1")
+        _check_rows("--n", args.n, "samples")
         if not 1 <= args.depth <= _CANTOR_MAX_DEPTH:
             raise ValueError(f"--depth must be in [1, {_CANTOR_MAX_DEPTH}] "
                              f"for cantor, got {args.depth}")
@@ -194,6 +203,7 @@ def _cmd_spectra(args) -> int:
 def _cmd_basis(args) -> int:
     if args.pairs < 0 or args.nrange < 0:
         raise ValueError("--pairs and --nrange must be >= 0")
+    _check_rows("--pairs", args.pairs, "pairs")
     # the Fourier loop's largest |m| is 2^kmax * nrange + 2^(kmax-1), and
     # fourier_coeff takes k <= 20 and |m| <= 10^6
     k = args.kmax

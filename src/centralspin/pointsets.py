@@ -17,7 +17,8 @@ points, so this module is organized around three things:
 * empirical measurement of the two Delone constants (r_pack, r_cover), the
   covering radius by rigorous branch-and-bound probing of the 1-Lipschitz
   distance-to-set function; ``gen_lattice`` marks its output, whose r_pack
-  is 1/2 and whose r_cover, margin allowing, is sqrt(d)/2 with no search;
+  is 1/2 and whose r_cover, margin allowing, is sqrt(d)/2 with no search
+  (in d = 1 at every margin);
 * radial annulus counting together with the volume-argument count bounds
 
       (b/r_cover - 1)^d - (a/r_cover + 1)^d  <=  N(a, b)
@@ -32,6 +33,11 @@ Annuli are closed on both ends; generators never emit the origin; all
 generation is deterministic in (parameters, seed) via counter-based
 randomness keyed on structured indices, so enlarging the region never
 reshuffles the points that were already there.
+
+A lattice holds its shells.  ``gen_lattice`` stores the radial shells of
+Z^d and their site counts r_d(n), the coefficients of theta_3(q)^d, and
+builds its rows (``points`` and ``radii``) only when they are first read:
+the sums, profiles, counts and radii read the shells alone.
 """
 
 from __future__ import annotations
@@ -133,8 +139,15 @@ class PointSet:
     tail-bound machinery relies on.  ``radii`` holds the radial distances
     rho = |p|, the norms taken once to validate the set (read-only).
     ``_is_lattice`` is True only on ``gen_lattice``'s output, which sets it
-    after construction; neither the constructor nor ``dataclasses.replace``
-    can, so every other set, a copy of a lattice included, reads False.
+    without the constructor; neither the constructor nor
+    ``dataclasses.replace`` can, so every other set, a copy of a lattice
+    included, reads False.
+
+    A lattice holds its shells, not its rows: ``gen_lattice`` stores
+    ``_shell_index`` and ``n_points`` reads it.  ``points`` and ``radii``
+    are built on their first read (``__getattr__``), from
+    ``_probe_lattice(d, region_radius, 1, 1)``, read-only and in that
+    enumeration's lexicographic order.
     """
 
     dim: int
@@ -166,8 +179,24 @@ class PointSet:
         object.__setattr__(self, "radii", norms)
         object.__setattr__(self, "meta", dict(self.meta))
 
-    @property
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an attribute the instance lacks: a lattice's
+        # rows before their first read
+        if name not in ("points", "radii") or not self._is_lattice:
+            raise AttributeError(f"'PointSet' object has no attribute {name!r}")
+        pts = np.concatenate(tuple(_probe_lattice(self.dim, self.region_radius,
+                                                  1.0, 1.0)))
+        norms = np.linalg.norm(pts, axis=1)
+        pts.setflags(write=False)
+        norms.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "radii", norms)
+        return self.__dict__[name]
+
+    @cached_property
     def n_points(self) -> int:
+        if self._is_lattice:
+            return int(self._shell_index[1].sum())
         return self.points.shape[0]
 
     @cached_property
@@ -180,7 +209,8 @@ class PointSet:
     def shells(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Distinct radii >= r (closed at r), ascending, and their site counts.
 
-        Read-only views of one cached ``np.unique(radii, return_counts=True)``.
+        Read-only views of one cached ``np.unique(radii, return_counts=True)``;
+        a lattice's are ``gen_lattice``'s, the same arrays.
         """
         rho, cnt = self._shell_index
         i = int(np.searchsorted(rho, r, side="left"))
@@ -202,19 +232,23 @@ class PointSet:
         in d >= 2; +inf for a set of fewer than 2 points.  ``measure_radii``
         reports it as ``r_pack``.
 
-        A lattice of more than 2d sites in d >= 2 (``_is_lattice``, the
-        mark ``gen_lattice`` sets) takes no query: only +-e_k have z.z = 1,
-        so some z has 2 <= z.z <= fl(R^2), and e_1 and e_1 + e_2, 1 apart,
-        are sites; distinct integer rows lie >= 1 apart, so the radius is
-        1/2, the query's float sqrt(1.0) / 2.  An unmarked copy of the rows
-        takes the query and gets the same float.
+        A lattice of more than 2d sites (``_is_lattice``, the mark
+        ``gen_lattice`` sets) reads no rows: only +-e_k have z.z = 1, so
+        some z has 2 <= z.z <= fl(R^2), and e_1 and e_1 + e_2 (1 and 2 in
+        d = 1), 1 apart, are sites; distinct integer rows lie >= 1 apart,
+        so the radius is 1/2, the query's float sqrt(1.0) / 2 and the
+        gap's 1.0 / 2.  The d = 1 lattice of 2 sites, -1 and 1, reads 1.0;
+        in d >= 2 the 2d sites take the query.  An unmarked copy of the
+        rows is measured and gets the same float.
         """
         if self.n_points < 2:
             return math.inf
+        if self._is_lattice and self.n_points > 2 * self.dim:
+            return 0.5
+        if self._is_lattice and self.dim == 1:  # -1 and 1
+            return 1.0
         if self.dim == 1:
             return float(np.diff(self._sorted_line).min()) / 2.0
-        if self.n_points > 2 * self.dim and self._is_lattice:
-            return 0.5
         nn_dist, _ = _nearest(self.points)(self.points, k=2)
         return float(nn_dist[:, 1].min()) / 2.0
 
@@ -222,6 +256,8 @@ class PointSet:
     def _r_pack_certified(self) -> float:
         """``_certified_r_pack``'s value, computed once per set."""
         structural = float(self.meta["r_pack_structural"])
+        if self._is_lattice:  # the eta = 0 case below, read without rows
+            return structural
         anchors = np.rint(self.points)
         eta = float(np.abs(self.points - anchors).max(initial=0.0))
         if structural <= (1.0 - 2.0 * eta) / 2.0 and (
@@ -283,16 +319,49 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
 
     The integer lattice has packing radius 1/2 (unit minimum spacing) and
     covering radius sqrt(d)/2 (deep holes at half-integer cell centers).
+
+    The set is built as its shells, not its rows.  Its sites are the rows
+    of ``_probe_lattice(d, R_max, 1, 1)``: every z != 0 with |z_k| <= m =
+    floor(R_max) and z.z <= fl(R_max^2).  Shell sqrt(n) holds r_d(n) of
+    them, the coefficient of q^n in theta_3(q)^d = (sum_k q^(k^2))^d
+    (Grosswald, *Representations of Integers as Sums of Squares*, 1985):
+    in d = 1, 2 sites at each k = 1..m; in d >= 2, ``np.bincount`` of the
+    sums of squares n <= fl(R_max^2) of the z >= 0 with z_k <= m, each
+    weighted by its 2^(nonzero coordinates) sign copies (sums of small
+    integers, exact in floats).  A shell's radius is fl(sqrt(n)), what
+    ``np.linalg.norm`` gives an integer row (its sum of squares is exact),
+    and distinct n < 2^51 round to distinct radii, so the shells are
+    ``np.unique`` of the rows' norms and counts, bit for bit.  The rows
+    are built when first read (see ``PointSet``).
     """
     _check_dim(d)
     if not 1 <= R_max < math.inf:
         raise ValueError("R_max must be finite and >= 1 (below 1 the ball "
                          "contains no lattice point)")
-    pts = np.concatenate(tuple(_probe_lattice(d, R_max, 1.0, 1.0)))
-    meta = {"kind": "lattice", "dim": d, "R_max": float(R_max),
-            "r_pack_structural": 0.5}
-    ps = PointSet(dim=d, points=pts, region_radius=float(R_max), meta=meta)
-    object.__setattr__(ps, "_is_lattice", True)
+    R = float(R_max)
+    m = math.floor(R)
+    if d == 1:
+        rho = np.arange(1, m + 1, dtype=np.float64)
+        cnt = np.full(m, 2, dtype=np.intp)
+    else:
+        n_max = math.floor(R * R)
+        sq = np.arange(m + 1, dtype=np.int64) ** 2
+        w = np.where(sq > 0, 2.0, 1.0)
+        n, wt = sq, w
+        for _ in range(d - 1):
+            n, wt = (n[:, None] + sq).ravel(), (wt[:, None] * w).ravel()
+            keep = n <= n_max
+            n, wt = n[keep], wt[keep]
+        r_d = np.bincount(n, weights=wt).astype(np.intp)
+        shell = np.flatnonzero(r_d[1:]) + 1
+        rho, cnt = np.sqrt(shell.astype(np.float64)), r_d[shell]
+    rho.setflags(write=False)
+    cnt.setflags(write=False)
+    meta = {"kind": "lattice", "dim": d, "R_max": R, "r_pack_structural": 0.5}
+    ps = object.__new__(PointSet)
+    for name, value in (("dim", d), ("region_radius", R), ("meta", meta),
+                        ("_is_lattice", True), ("_shell_index", (rho, cnt))):
+        object.__setattr__(ps, name, value)
     return ps
 
 
@@ -629,6 +698,25 @@ def _covering_exact_1d(xs: np.ndarray, R_dom: float) -> float:
     return float(max(np.minimum(left, right).max(), gaps.max(initial=0.0)))
 
 
+def _lattice_cover_1d(m: int, R_dom: float) -> float:
+    """``_covering_exact_1d`` of the sites -m, ..., m (0 included) over
+    [-R_dom, R_dom], 0 < R_dom < m + 1, read from m alone.
+
+    The midpoints k + 1/2 are exact, each 1/2 from its sites, and one lies
+    in the domain iff 1/2 <= R_dom.  ``searchsorted`` places the end R_dom
+    between ceil(R_dom) - 1 and ceil(R_dom), or past the last site m, whose
+    distance it then reads twice; -R_dom mirrors it, and rounding to
+    nearest is symmetric.  The same float subtractions give the same
+    floats.
+    """
+    if R_dom >= m:
+        end = R_dom - m
+    else:
+        k = float(math.ceil(R_dom))
+        end = min(R_dom - (k - 1.0), k - R_dom)
+    return max(end, 0.5) if R_dom >= 0.5 else end
+
+
 _BNB_BLOCK = 1 << 12  # parents expanded at once (bounds transient memory)
 _KD_PAD = 1e-12  # relative gap allowed between numpy and cKDTree distances
 
@@ -738,7 +826,9 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     and c bounds the supremum, which the deep hole attains.  r_cover = c
     with probe_resolution 0 is the pair the search ends on after
     confirming every tie.  With a smaller margin the nearest site of a
-    probe near the edge may lie beyond the window, and the search runs.
+    probe near the edge may lie beyond the window, and the search runs,
+    except on a d = 1 lattice: its sites are -m..m with m = n_points / 2,
+    and ``_lattice_cover_1d`` reads the exact search's float from m.
     """
     _check_margin(margin)
     R_dom = ps.region_radius - margin
@@ -749,6 +839,9 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     c = _structural_r_cover(ps)
     if margin >= c and 0.25 * ps.dim <= R_dom * R_dom:
         return DeloneRadii(r_pack=ps._r_pack_measured, r_cover=c)
+    if ps.dim == 1 and ps._is_lattice:
+        return DeloneRadii(r_pack=ps._r_pack_measured,
+                           r_cover=_lattice_cover_1d(ps.n_points // 2, R_dom))
     if ps.dim == 1:
         xs = ps._sorted_line
         sites = np.insert(xs, np.searchsorted(xs, 0.0), 0.0)

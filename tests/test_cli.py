@@ -207,20 +207,28 @@ def test_non_finite_region_exits_two(sub, rmax, tmp_path, monkeypatch, capsys):
      "--nrange 10"),
     (["spectra", "cantor", "--depth", "53", "--n", "5"],
      "--depth must be in [1, 52] for cantor, got 53"),
+    (["basis", "--pairs", "1000000000000"],
+     "--pairs asks for 1000000000000 pairs, more than the cap of 16777216"),
+    (["spectra", "cantor", "--n", "1000000000000"],
+     "--n asks for 1000000000000 samples, more than the cap of 16777216"),
 ], ids=["bounds-d3-alpha2", "bounds-alpha-nan", "ramsey-d3-alpha1",
         "ramsey-alpha-inf", "ramsey-tol0", "points-margin-nan",
         "bounds-margin-negative", "ramsey-grid-too-long",
         "spectra-grid-too-long", "basis-pairs-negative",
         "basis-nrange-negative", "basis-kmax-negative",
-        "basis-kmax-too-large", "spectra-cantor-depth-53"])
+        "basis-kmax-too-large", "spectra-cantor-depth-53",
+        "basis-pairs-too-many", "spectra-cantor-n-too-many"])
 def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
                                                         monkeypatch, capsys):
+    # nothing is built or sampled before the refusal
     def must_not_run(*args, **kwargs):
         raise AssertionError("the point set was built before the refusal")
 
     for name in ("gen_lattice", "gen_jittered", "gen_poisson_disk",
                  "measure_radii"):
         monkeypatch.setattr(cli.pointsets, name, must_not_run)
+    for name in ("counter_uniform", "counter_uniform_open"):
+        monkeypatch.setattr(cli, name, must_not_run)
     monkeypatch.chdir(tmp_path)
     assert cli.run(argv + ["--out", "x.json"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -47,6 +47,62 @@ def test_lattice_counts_match_brute_force(d):
     assert ps.n_points == want
 
 
+def _assert_shells_are_unique_norms(d, R):
+    # gen_lattice's shells, stored before any row exists, are np.unique of
+    # the rows' norms, values and counts, bit for bit and in dtype
+    ps = cs.gen_lattice(d, R)
+    rho, cnt = ps.shells(0.0)
+    n = ps.n_points
+    assert "points" not in ps.__dict__ and "radii" not in ps.__dict__
+    want_rho, want_cnt = np.unique(ps.radii, return_counts=True)
+    assert np.array_equal(rho, want_rho) and rho.dtype == want_rho.dtype
+    assert np.array_equal(cnt, want_cnt) and cnt.dtype == want_cnt.dtype
+    assert n == ps.points.shape[0] == int(want_cnt.sum())
+
+
+# R at sqrt 5 and both of its float neighbours: z.z = 5 is in the ball iff
+# 5 <= fl(R * R), the rule the rows follow
+_SQRT5 = math.sqrt(5.0)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.2, math.sqrt(2.0), _SQRT5,
+                               math.nextafter(_SQRT5, 0.0),
+                               math.nextafter(_SQRT5, 3.0),
+                               7.5, 12.0, 20.0, 60.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_shells_are_the_unique_norms_of_its_rows(d, R):
+    _assert_shells_are_unique_norms(d, R)
+
+
+@given(st.integers(1, 3), st.floats(1.0, 40.0))
+def test_lattice_shells_property(d, R):
+    _assert_shells_are_unique_norms(d, R)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.5, 1.9999999999999998, 2.0, 7.5, 10.0,
+                               1000.3, 5.0e4])
+def test_line_lattice_radii_equal_the_row_computation(R):
+    # in d = 1 a lattice's radii are read from m = floor(R) at every margin;
+    # the sorted-line gap and the exact covering search over its rows, and
+    # an unmarked copy that measures them, give the same floats.  R - 0.25
+    # leaves a domain holding no midpoint, where only the ends count
+    ps = cs.gen_lattice(1, R)
+    copy = cs.PointSet(1, ps.points, R, meta=dict(ps.meta))
+    xs = np.sort(ps.points[:, 0])
+    sites = np.insert(xs, np.searchsorted(xs, 0.0), 0.0)
+    r_pack = float(np.diff(xs).min()) / 2.0
+    assert r_pack == (1.0 if R < 2.0 else 0.5)
+    for margin in (0.0, 0.2, 0.5, 1.0, R - 0.5, R - 0.25):
+        if R - margin <= 0.0:
+            for s in (ps, copy):
+                with pytest.raises(ValueError, match="no probe domain"):
+                    cs.measure_radii(s, margin)
+            continue
+        want = cs.DeloneRadii(r_pack, pointsets._covering_exact_1d(
+            sites, R - margin))
+        assert cs.measure_radii(ps, margin) == want == cs.measure_radii(copy, margin)
+
+
 @pytest.mark.parametrize("d,cover", [(1, 0.5), (2, math.sqrt(2) / 2),
                                      (3, math.sqrt(3) / 2)])
 def test_lattice_radii_are_the_exact_cube_constants(d, cover, grid_sets):
@@ -564,26 +620,52 @@ def test_a_lattice_reads_its_packing_radius_without_a_kd_query(monkeypatch):
     assert axis0._r_pack_measured == 0.5 == wide._r_pack_measured
 
 
-def test_recognising_a_lattice_enumerates_no_rows(monkeypatch):
-    # PointSet._is_lattice is the mark gen_lattice sets at construction:
-    # measure_radii and the packing radius read it, and no rows are
-    # enumerated again, for a lattice or any other set
-    sets = [cs.gen_lattice(3, 8.0), cs.gen_jittered(3, 8.0, 0.25, 3)]
-    # a set far sparser than its ball, which a row check would enumerate
+def test_no_lattice_path_builds_rows(monkeypatch):
+    # a lattice holds its shells and its mark: built while _probe_lattice
+    # fails, it runs every lattice path with no row enumerated, and its
+    # rows, read afterwards, are the recorded read-only ones.  A jittered
+    # set and a set far sparser than its ball, which a row check would
+    # enumerate, are recognised as no lattice with no rows enumerated
+    jitter = cs.gen_jittered(3, 8.0, 0.25, 3)
     sparse = cs.PointSet(3, 2.0 * cs.gen_lattice(3, 1.5).points, 1e5)
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("the rows were enumerated again")
+        raise AssertionError("the rows were enumerated")
 
-    monkeypatch.setattr(pointsets, "_probe_lattice", must_not_run)
-    for ps, is_lattice in zip(sets, (True, False)):
-        radii = cs.measure_radii(ps, 2.0)
-        assert ps._r_pack_measured == radii.r_pack
-        assert (pointsets._structural_r_cover(ps) == math.sqrt(3) / 2) == is_lattice
-        assert ps._is_lattice is is_lattice
-    assert sets[0]._r_pack_measured == 0.5
-    assert pointsets._structural_r_cover(sparse) == math.inf
-    assert sparse._r_pack_measured == 1.0
+    with monkeypatch.context() as m:
+        m.setattr(pointsets, "_probe_lattice", must_not_run)
+        lattices = {case: cs.gen_lattice(*case) for case in LATTICE_DIGESTS}
+        for (d, R), ps in lattices.items():
+            c = math.sqrt(d) / 2.0
+            margins = ((0.0, 0.2, 0.5, 1.0, R - 0.5, R - 0.25) if d == 1
+                       else (c, 1.0, R / 2.0))
+            for margin in margins:
+                radii = cs.measure_radii(ps, margin)
+                assert radii.r_pack == 0.5
+                assert radii.r_cover == min(c, R - margin) or margin < c
+            radii = cs.measure_radii(ps, 2.0)
+            alpha = d + 1.0
+            assert pointsets._certified_r_pack(ps) == 0.5
+            assert cs.delone_tail_sum(ps, None, alpha, 2.0).err > 0.0
+            assert cs.sandwich_check(ps, radii, alpha, 3.0).holds
+            assert cs.check_annulus_bounds(ps, radii, 1.0, R).holds
+            assert cs.count_annulus(ps, 1.0, R) == ps.n_points
+            prof = cs.evaluate_profile(ps, None, alpha, 1.0,
+                                       np.linspace(0.0, 1.0, 5), 2.0)
+            assert (prof.err <= 2.0).all()
+            assert "points" not in ps.__dict__ and "radii" not in ps.__dict__
+        for ps in (jitter, sparse):
+            assert pointsets._structural_r_cover(ps) == math.inf
+            assert ps._is_lattice is False
+        assert cs.measure_radii(jitter, 2.0).r_pack == jitter._r_pack_measured
+        assert sparse._r_pack_measured == 1.0
+    for case, ps in lattices.items():
+        assert _digest(ps) == LATTICE_DIGESTS[case]
+        assert ps.n_points == ps.points.shape[0]
+        assert not ps.points.flags.writeable and not ps.radii.flags.writeable
+        assert ps.points is ps.points and ps.radii is ps.radii
+        with pytest.raises(ValueError, match="read-only"):
+            ps.points[0, 0] = 0.0
 
 
 def test_packing_radius_is_measured_once_per_set(monkeypatch):
