@@ -69,8 +69,22 @@ _CANTOR_MAX_DEPTH = 52
 
 
 def _build_set(args) -> pointsets.PointSet:
+    """The set the flags ask for.  A lattice or jittered window is refused
+    before any generator runs when the volume omega_d (R + sqrt(d))^d of
+    its ball exceeds ``bounds._MAX_SITES``: every candidate either
+    enumerates has its unit cube in that ball, so this bounds the sites.
+    Non-finite windows are left to the generators, Poisson windows to
+    their occupancy-grid refusal."""
     if args.rmax is None:
         args.rmax = _RAMSEY_RMAX[args.dim]
+    d, R = args.dim, args.rmax
+    # the radius form of the volume test, which cannot overflow
+    omega = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    limit = (bounds_mod._MAX_SITES / omega) ** (1 / d) - math.sqrt(d)
+    if args.set != "poisson" and limit < R < math.inf:
+        raise ValueError(f"--rmax {R:g} exceeds {limit:.6g}, the largest "
+                         f"window in d = {d} whose ball holds at most the "
+                         f"cap of {bounds_mod._MAX_SITES} sites")
     if args.set == "lattice":
         return pointsets.gen_lattice(args.dim, args.rmax)
     if args.set == "jitter":
@@ -187,9 +201,9 @@ def _cmd_spectra(args) -> int:
         keys = ("n", "seed")
     else:
         times = _time_grid(args)
-        if args.tmax >= math.pi:
-            # pi never lands on a rational grid, yet it is the natural probe
-            # point for self-similar products; include it explicitly
+        if args.tmax >= math.pi and math.pi not in times:
+            # pi is the natural probe point for self-similar products, and
+            # a grid holds fl(pi) only if its step lands on it (dt = pi/2)
             times = np.sort(np.append(times, math.pi))
         vals, errs = spectra.CosProduct(args.base, args.depth).evaluate(times)
         _write_csv(args.out, ["t", "C", "err"], [times, vals, errs])

@@ -43,7 +43,6 @@ the sums, profiles, counts and radii read the shells alone.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping
@@ -68,35 +67,18 @@ __all__ = [
 _DIMS = (1, 2, 3)
 
 
-def _query_workers() -> int:
-    """Thread count for KD-tree queries (CENTRALSPIN_THREADS, default -1: all).
-
-    The package's one thread knob: -1 or a positive integer, anything else
-    is refused with a message that names the variable.
-    """
-    value = os.environ.get("CENTRALSPIN_THREADS", "-1")
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0  # refused below
-    if workers != -1 and workers < 1:
-        raise ValueError("CENTRALSPIN_THREADS must be -1 (all cores) or a "
-                         f"positive integer, got {value!r}")
-    return workers
-
-
 def _nearest(points: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """``query(q, k=1) -> (dist, index)``, the k nearest of ``points`` to q.
 
-    The KD tree is built once and every query runs on the thread count of
-    ``_query_workers``.  scipy is imported here, on the first KD query, not
-    with the package: it is most of ``import centralspin``, and a run that
-    queries no tree (spectra, basis, every radius in d = 1) never needs it.
+    The KD tree is built once and every query runs on every core.  scipy is
+    imported here, on the first KD query, not with the package: it is most
+    of ``import centralspin``, and a run that queries no tree (spectra,
+    basis, every radius in d = 1) never needs it.
     """
     from scipy.spatial import cKDTree
 
-    tree, workers = cKDTree(points), _query_workers()
-    return lambda q, k=1: tree.query(q, k=k, workers=workers)
+    tree = cKDTree(points)
+    return lambda q, k=1: tree.query(q, k=k, workers=-1)
 
 
 def _cartesian(values: np.ndarray, d: int) -> np.ndarray:
@@ -807,11 +789,11 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     margin that leaves no probe domain, is refused.
 
     In d=1 both radii come from one sort of the line and no KD tree is
-    built, so they never read CENTRALSPIN_THREADS.  The smallest neighbour
-    gap a of the sorted line is the minimum pairwise distance; a KD query
-    reports sqrt(fl(a*a)), which in binary64 equals |a| short of overflow
-    and underflow, so r_pack is the same float.  The origin site is
-    inserted into the sorted points, not sorted in again.
+    built.  The smallest neighbour gap a of the sorted line is the minimum
+    pairwise distance; a KD query reports sqrt(fl(a*a)), which in binary64
+    equals |a| short of overflow and underflow, so r_pack is the same
+    float.  The origin site is inserted into the sorted points, not sorted
+    in again.
 
     The origin counts as a site for covering purposes: the central spin
     occupies it, so the punctured ball around 0 is not a hole of the bath

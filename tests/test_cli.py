@@ -96,13 +96,20 @@ def test_ramsey_refusal_exits_cleanly(tmp_path):
 
 
 def test_spectra_product_emits_pi_row(tmp_path):
-    res = run_cli("spectra", "product", "--base", "3", "--tmax", "10",
-                  "--out", "sp.csv", cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    rows = list(csv.DictReader((tmp_path / "sp.csv").open()))
-    pi_rows = [r for r in rows if float(r["t"]) == math.pi]
-    assert len(pi_rows) == 1
-    assert abs(float(pi_rows[0]["C"]) - 0.46627457895504917) < 1e-8
+    # pi joins a grid that misses it; a grid of step pi/2 already holds
+    # fl(pi), which is not written twice
+    for grid, n_rows in ((["--tmax", "10"], 1002),
+                         (["--tmax", "4", "--dt", "1.5707963267948966"], 4)):
+        res = run_cli("spectra", "product", "--base", "3", *grid,
+                      "--out", "sp.csv", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows = list(csv.DictReader((tmp_path / "sp.csv").open()))
+        ts = [float(r["t"]) for r in rows]
+        assert len(ts) == n_rows, grid
+        assert all(a < b for a, b in zip(ts, ts[1:])), grid
+        pi_rows = [r for r in rows if float(r["t"]) == math.pi]
+        assert len(pi_rows) == 1
+        assert abs(float(pi_rows[0]["C"]) - 0.46627457895504917) < 1e-8
 
 
 def test_spectra_cantor_roundtrip_columns(tmp_path):
@@ -211,13 +218,24 @@ def test_non_finite_region_exits_two(sub, rmax, tmp_path, monkeypatch, capsys):
      "--pairs asks for 1000000000000 pairs, more than the cap of 16777216"),
     (["spectra", "cantor", "--n", "1000000000000"],
      "--n asks for 1000000000000 samples, more than the cap of 16777216"),
+    (["points", "--dim", "1", "--rmax", "1e13"],
+     "--rmax 1e+13 exceeds 3.35544e+07, the largest window in d = 1 whose "
+     "ball holds at most the cap of 67108864 sites"),
+    (["ramsey", "--dim", "1", "--rmax", "1e13"],
+     "--rmax 1e+13 exceeds 3.35544e+07, the largest window in d = 1 whose "
+     "ball holds at most the cap of 67108864 sites"),
+    (["bounds", "--dim", "3", "--set", "jitter", "--rmax", "251"],
+     "--rmax 251 exceeds 250.363, the largest window in d = 3 whose ball "
+     "holds at most the cap of 67108864 sites"),
 ], ids=["bounds-d3-alpha2", "bounds-alpha-nan", "ramsey-d3-alpha1",
         "ramsey-alpha-inf", "ramsey-tol0", "points-margin-nan",
         "bounds-margin-negative", "ramsey-grid-too-long",
         "spectra-grid-too-long", "basis-pairs-negative",
         "basis-nrange-negative", "basis-kmax-negative",
         "basis-kmax-too-large", "spectra-cantor-depth-53",
-        "basis-pairs-too-many", "spectra-cantor-n-too-many"])
+        "basis-pairs-too-many", "spectra-cantor-n-too-many",
+        "points-d1-window-too-wide", "ramsey-d1-window-too-wide",
+        "bounds-d3-jitter-window-too-wide"])
 def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
                                                         monkeypatch, capsys):
     # nothing is built or sampled before the refusal
@@ -232,6 +250,18 @@ def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
     monkeypatch.chdir(tmp_path)
     assert cli.run(argv + ["--out", "x.json"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_a_wide_poisson_window_meets_its_grid_refusal(tmp_path, monkeypatch,
+                                                      capsys):
+    # the --rmax cap bounds lattice and jittered windows only: a Poisson
+    # window's sites scale with --rmin, and its occupancy grid refuses it
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["points", "--set", "poisson", "--rmax", "1e13",
+                    "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: R_max / r_min too large for the occupancy grid\n")
     assert not os.listdir(tmp_path)
 
 

@@ -843,19 +843,11 @@ def test_covering_certificate_brackets_a_brute_force_oracle(make, margin, s):
     assert radii.r_cover <= brute + s * math.sqrt(ps.dim) / 2.0 + 1e-12
 
 
-@pytest.mark.parametrize("value", ["0", "two"])
-def test_thread_knob_refuses_zero_and_non_integers(monkeypatch, value):
-    ps = cs.gen_lattice(2, 10.0)
-    monkeypatch.setenv("CENTRALSPIN_THREADS", value)
-    with pytest.raises(ValueError, match="CENTRALSPIN_THREADS must be -1 .* "
-                                         "positive integer, got '" + value):
-        cs.measure_radii(ps)
-
-
-def test_thread_knob_defaults_to_every_core(monkeypatch):
-    # every reader of the knob queries through _nearest: the radii, the fill
-    # sweep of gen_poisson_disk (this set leaves budget-dead cells) and
-    # insertable_probes
+def test_kd_queries_read_no_environment(monkeypatch):
+    # every KD query runs through _nearest: the radii, the fill sweep of
+    # gen_poisson_disk (this set leaves budget-dead cells) and
+    # insertable_probes; no CENTRALSPIN_THREADS value, valid or not,
+    # changes any of them
     def run():
         ps = cs.gen_poisson_disk(2, 10.0, 1.0, seed=4)
         return (ps.points.tobytes(), cs.measure_radii(ps),
@@ -863,12 +855,10 @@ def test_thread_knob_defaults_to_every_core(monkeypatch):
                 cs.insertable_probes(ps).tobytes())
 
     monkeypatch.delenv("CENTRALSPIN_THREADS", raising=False)
-    assert pointsets._query_workers() == -1
     unset = run()
-    for value in ("-1", "1"):
+    for value in ("0", "two", "-1", "1"):
         monkeypatch.setenv("CENTRALSPIN_THREADS", value)
-        assert run() == unset
-    assert pointsets._query_workers() == 1
+        assert run() == unset, value
 
 
 def test_margin_shrinks_the_measured_window(grid_sets):
