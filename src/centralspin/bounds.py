@@ -32,9 +32,11 @@ yields the tail sandwich (valid once r >= 3 r_cover)
 with T(alpha, d, r) = r^(d-alpha)/(alpha-d) the exact tail integral.
 Upper bounds must use a *lower* estimate of r_pack and lower bounds an
 *upper* estimate of r_cover, so the helpers below consistently take
-``pointsets._certified_r_pack`` (the smaller of the measured and the
-structural packing radius; the one rule, shared with the annulus checks)
-for upper bounds and ``r_cover + probe_resolution`` for lower bounds.
+the set's certified packing radius ``PointSet._r_pack_certified`` (the
+smaller of the measured and the structural packing radius, which
+``gen_lattice`` and ``gen_jittered`` write when they prove it; the one
+rule, shared with the annulus checks) for upper bounds and
+``r_cover + probe_resolution`` for lower bounds.
 
 Every finite sum is the exact sum of its terms, rounded once: its error
 is at most half an ulp, and it does not depend on the order of the terms.
@@ -71,7 +73,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pointsets import DeloneRadii, PointSet, _certified_r_pack
+from .pointsets import DeloneRadii, PointSet
 
 __all__ = [
     "CertifiedValue",
@@ -251,15 +253,15 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     endpoints would otherwise leave lo up to an ulp above S, or hi below
     S + tail.
 
-    ``radii`` is accepted and not read: the packing radius is the set's own
-    (``_certified_r_pack``).  Callers in this package pass ``None``; the
-    argument goes when the benchmark's calls drop it.
+    ``radii`` is accepted and not read: the packing radius is the set's
+    own (``PointSet._r_pack_certified``).  Callers in this package pass
+    ``None``; the argument goes when the benchmark's calls drop it.
     """
     d = ps.dim
     _check_tail_exponent(d, alpha)
     if not (0.0 <= r <= ps.region_radius):
         raise ValueError("need 0 <= r <= region_radius")
-    rp = _certified_r_pack(ps)
+    rp = ps._r_pack_certified
     rho, cnt = ps.shells(r)
     exact = _exact_counted(rho ** (-alpha), cnt)
     finite = float(exact)  # the terms are >= 0: no -0.0 to keep
@@ -312,7 +314,7 @@ def _required_r_max(ps: PointSet, alpha: float, target_tail: float) -> float:
     packing radius, so the suggested radius meets the bound that refused.
     """
     d = ps.dim
-    rp = _certified_r_pack(ps)
+    rp = ps._r_pack_certified
     # invert tail(R) = 3^d d / rp^d * T(alpha, d, R - rp) = target
     t_int = target_tail * rp ** d / ((3.0 ** d) * d)
     return rp + ((alpha - d) * t_int) ** (1.0 / (d - alpha))
@@ -329,7 +331,7 @@ def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float,
     ``r_cover_upper``; rp is the set's own.
     """
     d = ps.dim
-    rp = _certified_r_pack(ps)
+    rp = ps._r_pack_certified
     rc = radii.r_cover_upper
     if r < 3.0 * rc:
         raise ValueError("sandwich requires r >= 3 * r_cover")

@@ -87,17 +87,6 @@ def _cartesian(values: np.ndarray, d: int) -> np.ndarray:
                     axis=-1).reshape(-1, d)
 
 
-def _has_duplicate_rows(rows: np.ndarray) -> bool:
-    """Whether two of ``rows`` (one or more) are equal as floats, so -0.0
-    and 0.0 are the same coordinate: equal rows sort next to each other."""
-    order = np.lexsort(rows.T[::-1])
-    same = np.ones(rows.shape[0] - 1, dtype=bool)
-    for c in rows.T:
-        c = c[order]
-        same &= c[1:] == c[:-1]
-    return bool(same.any())
-
-
 def _check_dim(d: int) -> None:
     if d not in _DIMS:
         raise ValueError(f"dimension must be one of {_DIMS}, got {d!r}")
@@ -120,13 +109,13 @@ class PointSet:
     structural packing-radius certificate ``r_pack_structural`` that the
     tail-bound machinery relies on.  ``radii`` holds the radial distances
     rho = |p|, the norms taken once to validate the set (read-only).
-    ``_is_lattice`` is True only on ``gen_lattice``'s output, which sets it
-    without the constructor; neither the constructor nor
-    ``dataclasses.replace`` can, so every other set, a copy of a lattice
-    included, reads False.
+    ``_is_lattice`` marks ``gen_lattice``'s output.  The generators write
+    what they prove (the mark, ``n_points``, ``_shell_index``, packing
+    radii; see ``gen_lattice`` and ``gen_jittered``) into the instance
+    without the constructor; neither it nor ``dataclasses.replace``
+    carries them, so any other set, a copy included, is measured once.
 
-    A lattice holds its shells, not its rows: ``gen_lattice`` stores
-    ``_shell_index`` and ``n_points`` reads it.  ``points`` and ``radii``
+    A lattice holds its shells, not its rows.  ``points`` and ``radii``
     are built on their first read (``__getattr__``), from
     ``_probe_lattice(d, region_radius, 1, 1)``, read-only and in that
     enumeration's lexicographic order.
@@ -153,7 +142,10 @@ class PointSet:
             raise ValueError("the origin (central spin site) cannot be a bath point")
         if pts.shape[0] and norms.max() > self.region_radius:
             raise ValueError("all points must satisfy |p| <= region_radius")
-        if pts.shape[0] > 1 and _has_duplicate_rows(pts):
+        # equal rows sort next to each other; float equality, so -0.0 and
+        # 0.0 are the same coordinate
+        srt = pts[np.lexsort(pts.T[::-1])]
+        if (srt[1:] == srt[:-1]).all(axis=1).any():
             raise ValueError("duplicate points are not allowed")
         pts.setflags(write=False)
         norms.setflags(write=False)
@@ -177,8 +169,6 @@ class PointSet:
 
     @cached_property
     def n_points(self) -> int:
-        if self._is_lattice:
-            return int(self._shell_index[1].sum())
         return self.points.shape[0]
 
     @cached_property
@@ -212,23 +202,11 @@ class PointSet:
 
         Neighbour gaps of ``_sorted_line`` in d = 1, one KD query with k = 2
         in d >= 2; +inf for a set of fewer than 2 points.  ``measure_radii``
-        reports it as ``r_pack``.
-
-        A lattice of more than 2d sites (``_is_lattice``, the mark
-        ``gen_lattice`` sets) reads no rows: only +-e_k have z.z = 1, so
-        some z has 2 <= z.z <= fl(R^2), and e_1 and e_1 + e_2 (1 and 2 in
-        d = 1), 1 apart, are sites; distinct integer rows lie >= 1 apart,
-        so the radius is 1/2, the query's float sqrt(1.0) / 2 and the
-        gap's 1.0 / 2.  The d = 1 lattice of 2 sites, -1 and 1, reads 1.0;
-        in d >= 2 the 2d sites take the query.  An unmarked copy of the
-        rows is measured and gets the same float.
+        reports it as ``r_pack``; ``gen_lattice`` writes the value it
+        proves.
         """
         if self.n_points < 2:
             return math.inf
-        if self._is_lattice and self.n_points > 2 * self.dim:
-            return 0.5
-        if self._is_lattice and self.dim == 1:  # -1 and 1
-            return 1.0
         if self.dim == 1:
             return float(np.diff(self._sorted_line).min()) / 2.0
         nn_dist, _ = _nearest(self.points)(self.points, k=2)
@@ -236,16 +214,20 @@ class PointSet:
 
     @cached_property
     def _r_pack_certified(self) -> float:
-        """``_certified_r_pack``'s value, computed once per set."""
-        structural = float(self.meta["r_pack_structural"])
-        if self._is_lattice:  # the eta = 0 case below, read without rows
-            return structural
-        anchors = np.rint(self.points)
-        eta = float(np.abs(self.points - anchors).max(initial=0.0))
-        if structural <= (1.0 - 2.0 * eta) / 2.0 and (
-                eta == 0.0 or not _has_duplicate_rows(anchors)):
-            return structural
-        return min(structural, self._r_pack_measured)
+        """min(structural, measured), the packing radius of upper bounds.
+
+        The measured r_pack covers every stored point, but the tail bounds
+        also count sites beyond region_radius, where only the generator's
+        ``r_pack_structural`` holds, so a set whose meta carries none is
+        refused.  ``gen_lattice`` and ``gen_jittered`` write the value when
+        they prove it; any other set is measured once, by the computation
+        ``measure_radii`` reports (+inf below 2 points).
+        """
+        if self.meta.get("r_pack_structural") is None:
+            raise ValueError("point set meta carries no structural packing "
+                             "radius (r_pack_structural)")
+        return min(float(self.meta["r_pack_structural"]),
+                   self._r_pack_measured)
 
 
 @dataclass(frozen=True)
@@ -315,6 +297,14 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
     and distinct n < 2^51 round to distinct radii, so the shells are
     ``np.unique`` of the rows' norms and counts, bit for bit.  The rows
     are built when first read (see ``PointSet``).
+
+    The set is written with its size and the packing radii it proves, so
+    none reads a row.  Distinct integer rows lie >= 1 apart, and with more
+    than 2d sites e_1 and e_1 + e_2 (1 and 2 in d = 1) are sites, as only
+    +-e_k have z.z = 1: the measured radius is 1/2, the KD query's float
+    sqrt(1.0) / 2 and the gap's 1.0 / 2.  The d = 1 pair -1, 1 measures
+    1.0; the 2d sites +-e_k in d >= 2 take the query.  So the certified
+    radius min(1/2, measured) is 1/2 bit for bit.
     """
     _check_dim(d)
     if not 1 <= R_max < math.inf:
@@ -340,9 +330,16 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
     rho.setflags(write=False)
     cnt.setflags(write=False)
     meta = {"kind": "lattice", "dim": d, "R_max": R, "r_pack_structural": 0.5}
+    n = int(cnt.sum())
+    written = {"dim": d, "region_radius": R, "meta": meta, "_is_lattice": True,
+               "_shell_index": (rho, cnt), "n_points": n,
+               "_r_pack_certified": 0.5}
+    if n > 2 * d:
+        written["_r_pack_measured"] = 0.5
+    elif d == 1:  # -1 and 1
+        written["_r_pack_measured"] = 1.0
     ps = object.__new__(PointSet)
-    for name, value in (("dim", d), ("region_radius", R), ("meta", meta),
-                        ("_is_lattice", True), ("_shell_index", (rho, cnt))):
+    for name, value in written.items():
         object.__setattr__(ps, name, value)
     return ps
 
@@ -357,6 +354,16 @@ def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
     the ball.  Any two jittered points are at least 1 - 2*jitter apart (a
     nonzero integer axis gap shrinks by at most 2*jitter), which is the
     structural packing certificate recorded in meta.
+
+    That radius is written as the certified one when the float rows prove
+    it.  The anchors z are distinct, as enumerated, and eta = max |p - z|
+    over the kept rows is exact in floats.  Rows with anchors a != b differ
+    by >= 1 - 2 eta in a coordinate where a and b differ; rounding is
+    monotone, so the measurement forms a difference >= c = fl(1 - 2 eta)
+    there, a sum of squares >= fl(c * c), and sqrt(fl(c * c)) = c in
+    binary64.  So if structural <= c / 2, min(structural, measured) is
+    structural bit for bit.  A row fl(z + o) can land just past z +-
+    jitter; then nothing is written, and the set is measured.
     """
     _check_dim(d)
     if not 1 <= R_max < math.inf:
@@ -370,10 +377,16 @@ def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
         u = counter_uniform(seed, *(z[:, k] for k in range(d)), np.int64(axis))
         pts[:, axis] += u * (2.0 * jitter) - jitter
     keep = (pts ** 2).sum(axis=1) <= R_max * R_max
+    pts, z = pts[keep], z[keep]
+    structural = (1.0 - 2.0 * jitter) / 2.0
     meta = {"kind": "jittered", "dim": d, "R_max": float(R_max),
             "jitter": float(jitter), "seed": int(seed),
-            "r_pack_structural": (1.0 - 2.0 * jitter) / 2.0}
-    return PointSet(dim=d, points=pts[keep], region_radius=float(R_max), meta=meta)
+            "r_pack_structural": structural}
+    ps = PointSet(dim=d, points=pts, region_radius=float(R_max), meta=meta)
+    eta = float(np.abs(pts - z).max(initial=0.0))
+    if structural <= (1.0 - 2.0 * eta) / 2.0:
+        object.__setattr__(ps, "_r_pack_certified", structural)
+    return ps
 
 
 def _cell_offsets(d: int, nc: int, strides: np.ndarray) -> np.ndarray:
@@ -496,6 +509,8 @@ def _accept(occ: np.ndarray, buf: np.ndarray, n_pts: int, offs: np.ndarray,
 
 # failed darts after which a cell is left to the fill sweep
 _BUDGET = 8
+# padded occupancy-grid cells above which gen_poisson_disk refuses a window
+_MAX_GRID_CELLS = 1 << 22
 # fill-sweep probe spacing is r_min / _FILL_DIVISOR[d]
 _FILL_DIVISOR = {1: 10.0, 2: 10.0, 3: 4.0}
 
@@ -538,6 +553,10 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     The origin's r_min-neighborhood is excluded (the central spin keeps
     hard-core distance from the bath), so the structural packing radius
     r_min/2 covers the bath together with the origin site.
+
+    A padded grid of more than _MAX_GRID_CELLS = 2^22 cells is refused
+    before any grid is allocated.  Peak RSS is about 1 kB a cell in d = 2
+    (4.2 GB at the cap), 0.63 kB in d = 1 and 0.25 kB in d = 3.
     """
     _check_dim(d)
     if not 0 < r_min <= R_max < math.inf:
@@ -550,7 +569,7 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     nc = int(math.ceil(math.sqrt(d)))  # conflict window radius, in cells
     pad = nc
     pside = n_side + 2 * pad
-    if pside ** d >= 2 ** 31:
+    if pside ** d > _MAX_GRID_CELLS:
         raise ValueError("R_max / r_min too large for the occupancy grid")
     pstrides = np.array([pside ** (d - 1 - k) for k in range(d)], dtype=np.int64)
     occ = np.full(pside ** d, -1, dtype=np.int32)  # accepted point per cell
@@ -780,13 +799,13 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
 
     r_pack is half the minimum pairwise distance over every stored point,
     the whole window (exact for the sample), measured once per set and
-    cached on it, where ``_certified_r_pack`` reads it too.  ``margin``
-    shapes only the covering domain: r_cover is the maximum distance from
-    any probe q with |q| <= region_radius - margin to the nearest site,
-    since only covering feels the window's edge.  The probe search is
-    exact in d=1 and branch-and-bound elsewhere, with the remaining gap
-    reported as probe_resolution.  A set of fewer than 2 points, or a
-    margin that leaves no probe domain, is refused.
+    cached on it, where ``PointSet._r_pack_certified`` reads it too.
+    ``margin`` shapes only the covering domain: r_cover is the maximum
+    distance from any probe q with |q| <= region_radius - margin to the
+    nearest site, since only covering feels the window's edge.  The probe
+    search is exact in d=1 and branch-and-bound elsewhere, with the
+    remaining gap reported as probe_resolution.  A set of fewer than 2
+    points, or a margin that leaves no probe domain, is refused.
 
     In d=1 both radii come from one sort of the line and no KD tree is
     built.  The smallest neighbour gap a of the sorted line is the minimum
@@ -851,39 +870,6 @@ def count_annulus(ps: PointSet, a: float, b: float) -> int:
     return int(cnt[:np.searchsorted(rho, b, side="right")].sum())
 
 
-def _certified_r_pack(ps: PointSet) -> float:
-    """Packing radius safe for every upper bound: min(structural, measured).
-
-    The measured r_pack covers the whole window, every stored point, but
-    the tail bounds also count sites beyond region_radius, where only the
-    generator's ``r_pack_structural`` holds, so a set whose meta carries
-    none is refused.  On every generated set structural <= measured (the
-    lattice measures 1/2, jittered pairs are >= 1 - 2*jitter apart and
-    Poisson pairs >= r_min), so the structural radius is what this returns.
-
-    The value is read from the set alone and cached on it.  A set whose
-    rows lie within eta = max |p - rint(p)|_inf of distinct integer anchors
-    rint(p), with structural <= (1 - 2 eta)/2, needs no measurement: two
-    rows with anchors a != b differ by >= |a_k - b_k| - 2 eta >= 1 - 2 eta
-    in a coordinate k where the anchors differ.  p - rint(p) is exact in
-    floats, and rounding is monotone, so the difference the measurement
-    forms in that coordinate is >= c = fl(1 - 2 eta), the sum of squares
-    is >= fl(c * c), and sqrt(fl(c * c)) = c in binary64: the measured
-    radius is >= c / 2 >= structural in floats too, and the minimum is
-    structural bit for bit.  An integral set (eta = 0) is its own anchors,
-    distinct because ``PointSet`` refuses duplicate rows, so it is never
-    sorted; other sets test theirs with ``_has_duplicate_rows``, the check
-    ``PointSet`` makes.  A jittered set (eta <= jitter, structural
-    (1 - 2 jitter)/2) and an integer lattice take this proof.  Every other
-    set is measured once, by the computation ``measure_radii`` reports
-    (+inf below 2 points).
-    """
-    if ps.meta.get("r_pack_structural") is None:
-        raise ValueError("point set meta carries no structural packing "
-                         "radius (r_pack_structural)")
-    return ps._r_pack_certified
-
-
 def _structural_r_cover(ps: PointSet) -> float:
     """sqrt(d)/2, the covering radius of Z^d, for ``gen_lattice``'s output;
     +inf for every other set.
@@ -912,11 +898,11 @@ def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,
     giving N >= (b/r_cover-1)^d - (a/r_cover+1)^d (clamped at 0).  The lower
     bound uses the conservative covering estimate r_cover + probe_resolution
     (an understated covering radius would overstate the bound); the upper
-    bound uses ``_certified_r_pack``, so a set whose meta carries no
-    structural packing radius is refused with a ``ValueError``.
+    bound uses ``PointSet._r_pack_certified``, so a set whose meta carries
+    no structural packing radius is refused with a ``ValueError``.
     """
     d = ps.dim
-    rp = _certified_r_pack(ps)
+    rp = ps._r_pack_certified
     if a < rp:
         raise ValueError("lower annulus radius must satisfy a >= r_pack")
     rc = radii.r_cover_upper

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import centralspin as cs
-from centralspin import bounds, pointsets
+from centralspin import bounds
 
 
 # ------------------------------------------------------------ CertifiedValue
@@ -204,7 +204,7 @@ def test_tail_sum_matches_a_fresh_sort_at_every_cut():
     for pset in (ps, lat):
         radii = cs.measure_radii(pset)
         rr = pset.radii
-        rp = pointsets._certified_r_pack(pset)
+        rp = pset._r_pack_certified
         for alpha in (2.5, 4.0):
             tail = 9.0 * 2 / rp ** 2 * cs.integral_tail(alpha, 2, 12.0 - rp)
             for r in (0.0, 1.0, 2.0, float(rr[17]), 7.3, float(rr.max()), 12.0):

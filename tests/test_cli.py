@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,25 @@ def test_a_wide_poisson_window_meets_its_grid_refusal(tmp_path, monkeypatch,
     assert not os.listdir(tmp_path)
 
 
+def test_a_poisson_window_past_the_cell_cap_is_refused_before_any_grid(
+        tmp_path, monkeypatch, capsys):
+    # d = 1 at --rmax 5e8 asks for about 1e9 grid cells, under the int32
+    # index limit, and once ended in a numpy allocation traceback (exit 1)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        rc = cli.run(["points", "--dim", "1", "--set", "poisson", "--rmax",
+                      "5e8", "--out", "pp.csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: R_max / r_min too large for the occupancy grid\n")
+    assert peak < 1 << 20
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv", [
     ["points", "--dim", "2", "--set", "jitter", "--rmax", "5"],
     ["points", "--dim", "2", "--set", "poisson", "--rmax", "5"],
@@ -282,11 +302,11 @@ def test_a_seed_outside_int64_exits_two(argv, seed, tmp_path, monkeypatch,
 
 
 # Runs the given CLI command (or none) in a fresh interpreter and reports
-# whether scipy got imported: only a KD query should load it.  A lattice's
-# packing radius is proved from its integer coordinates, and a jittered
-# set's from its distinct integer anchors, so ramsey on either queries no
-# tree in any dimension (d = 3 at its default window); a lattice's radii at
-# margin >= sqrt(d)/2 are read, not searched, so `points` queries none.
+# whether scipy got imported: only a KD query should load it.  A lattice
+# and a jittered set are built with the packing radius their generator
+# proves, so ramsey on either queries no tree in any dimension (d = 3 at
+# its default window); a lattice's radii at margin >= sqrt(d)/2 are read,
+# not searched, so `points` queries none.
 SCIPY_PROBE = """\
 import sys
 import centralspin

@@ -308,6 +308,22 @@ def test_poisson_samples_are_bit_identical_to_recorded_digests(case):
     assert _digest(ps) == POISSON_DIGESTS[case]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_poisson_grid_past_its_cell_cap_is_refused(d):
+    # the padded grid of (floor(2 R / cell) + 1 + 2 ceil(sqrt d))^d cells,
+    # cell = r_min / sqrt d, is refused once it holds more than the cap;
+    # the largest recorded set (d = 3, R = 60, r_min = 1.5) holds 143^3
+    cap = pointsets._MAX_GRID_CELLS
+    assert 143 ** 3 < cap
+    nc = math.ceil(math.sqrt(d))
+    side = math.floor(cap ** (1.0 / d)) + 1  # side ** d > cap
+    cell = 1.0 / math.sqrt(d)
+    R = (side - 2 * nc - 0.5) * cell / 2.0  # floor(2 R / cell) + 1 = side - 2 nc
+    assert (math.floor(2.0 * R / cell) + 1 + 2 * nc) ** d > cap
+    with pytest.raises(ValueError, match="too large for the occupancy grid"):
+        cs.gen_poisson_disk(d, R, 1.0, seed=0)
+
+
 @pytest.mark.parametrize("case, n_points", [
     ((1, 5.0, 5.0, 1), 2), ((1, 9.0, 3.0, 2), 4), ((1, 1.0, 1.0, 0), 2),
 ], ids=["R5", "R9", "R1"])
@@ -523,63 +539,136 @@ def test_covering_search_is_bit_identical_to_recorded_radii(make, want):
     assert (got.r_pack, got.r_cover, got.probe_resolution) == want
 
 
-def test_certified_packing_radius_is_min_of_structural_and_measured(grid_sets):
+def _kd_must_not_run(*args, **kwargs):
+    raise AssertionError("the packing radius took a KD query")
+
+
+def test_certified_packing_radius_is_min_of_structural_and_measured(grid_sets,
+                                                                    monkeypatch):
     # bit for bit against min(structural, measured) on the grid sets, the
     # two lattices the benchmark's CLI workload runs, the toy pair (integral,
     # but structural 1.0 > 1/2, so measured) and a lattice with an extra
-    # site 0.3 from its neighbour (not integral: measured 0.15 < 0.5)
+    # site 0.3 from its neighbour (measured 0.15 < 0.5)
     sets = [(ps, radii.r_pack) for ps, radii in grid_sets[0].values()]
     base = cs.gen_lattice(1, 500.0)
-    for ps in (cs.gen_lattice(2, 100.0), cs.gen_lattice(3, 15.0),
-               cs.PointSet(1, np.array([[1.0], [-1.0]]), 1.0e9,
-                           meta={"r_pack_structural": 1.0}),
-               cs.PointSet(1, np.vstack([base.points, [[100.3]]]), 500.0,
-                           meta={"r_pack_structural": 0.5})):
-        got = pointsets._certified_r_pack(ps)
-        # a lattice's radius is proved from its coordinates, not measured
-        measured_first = "_r_pack_measured" in ps.__dict__
-        assert measured_first == (ps.meta.get("kind") != "lattice")
+    lattices = (cs.gen_lattice(2, 100.0), cs.gen_lattice(3, 15.0))
+    with monkeypatch.context() as m:
+        # a lattice's radius is written by its generator, not measured
+        m.setattr(pointsets, "_nearest", _kd_must_not_run)
+        assert [ps._r_pack_certified for ps in lattices] == [0.5, 0.5]
+    for ps in lattices + (
+            cs.PointSet(1, np.array([[1.0], [-1.0]]), 1.0e9,
+                        meta={"r_pack_structural": 1.0}),
+            cs.PointSet(1, np.vstack([base.points, [[100.3]]]), 500.0,
+                        meta={"r_pack_structural": 0.5})):
+        got = ps._r_pack_certified
         sets.append((ps, cs.measure_radii(ps).r_pack))
-        assert pointsets._certified_r_pack(ps) == got
+        assert ps._r_pack_certified == got
     for ps, measured in sets:
         want = min(float(ps.meta["r_pack_structural"]), measured)
-        assert pointsets._certified_r_pack(ps) == want, ps.meta
+        assert ps._r_pack_certified == want, ps.meta
     assert sets[-1][1] == pytest.approx(0.15) and sets[-2][1] == 1.0
     # a one-point set measures +inf, so it gets its structural radius, and
     # the tail bound still refuses a radius larger than the region
     tiny = cs.PointSet(1, np.array([[1.0]]), 1.0, meta={"r_pack_structural": 2.0})
-    assert pointsets._certified_r_pack(tiny) == 2.0
+    assert tiny._r_pack_certified == 2.0
     with pytest.raises(ValueError, match="region"):
         cs.delone_tail_sum(tiny, None, 2.0, 0.5)
     bare = cs.PointSet(1, np.arange(1.0, 50.0).reshape(-1, 1), 50.0)
     with pytest.raises(ValueError, match="r_pack_structural"):
-        pointsets._certified_r_pack(bare)
+        bare._r_pack_certified
 
 
 def test_jittered_packing_radius_is_proved_from_distinct_anchors(monkeypatch):
-    # every row lies within eta <= jitter of a distinct integer anchor, so
-    # pairs lie >= 1 - 2 jitter apart and the structural radius needs no KD
-    # query; a set whose anchors collide is measured
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("the packing radius was measured")
-
-    monkeypatch.setattr(pointsets, "_nearest", must_not_run)
+    # every row lies within eta <= jitter of the distinct integer anchor
+    # gen_jittered enumerated, so pairs lie >= 1 - 2 jitter apart and the
+    # generator writes the structural radius: no KD query; a hand-built
+    # set is measured
+    monkeypatch.setattr(pointsets, "_nearest", _kd_must_not_run)
     for d in (1, 2, 3):
         for eta in (0.1, 0.25, 0.49):
             ps = cs.gen_jittered(d, 12.0, eta, seed=3)
-            assert pointsets._certified_r_pack(ps) == (1.0 - 2.0 * eta) / 2.0
+            assert ps._r_pack_certified == (1.0 - 2.0 * eta) / 2.0
             assert "_r_pack_measured" not in ps.__dict__
-    monkeypatch.undo()
     twins = cs.PointSet(2, [[0.9, 3.0], [1.1, 3.0], [4.0, 0.0]], 10.0,
                         meta={"r_pack_structural": 0.05})
-    assert pointsets._certified_r_pack(twins) == 0.05
-    assert twins._r_pack_measured == pytest.approx(0.1)
-    # anchors -0.0 and 0.0 collide across zero: float equality, so measured
     signed = cs.PointSet(2, [[-0.4, 3.0], [0.3, 3.0]], 10.0,
                          meta={"r_pack_structural": 0.05})
-    assert pointsets._certified_r_pack(signed) == 0.05
-    assert "_r_pack_measured" in signed.__dict__
+    for ps in (twins, signed):
+        with pytest.raises(AssertionError, match="KD query"):
+            ps._r_pack_certified
+    monkeypatch.undo()
+    assert twins._r_pack_certified == 0.05
+    assert twins._r_pack_measured == pytest.approx(0.1)
+    assert signed._r_pack_certified == 0.05
     assert signed._r_pack_measured == pytest.approx(0.35)
+
+
+def test_copies_of_a_generated_set_take_the_kd_query(monkeypatch):
+    # only the generator writes the radius it proves: an exact, a reversed
+    # and a replace() copy of a jittered set, and hand-built integral sets
+    # (a lattice's rows, in order and reversed), take one KD query each and
+    # get the generator's float
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return real(points)
+
+    real = pointsets._nearest
+    for d in (2, 3):
+        jit = cs.gen_jittered(d, 6.0, 0.3, seed=7)
+        lat = cs.gen_lattice(d, 6.0)
+        jit_copies = (
+            cs.PointSet(d, jit.points.copy(), 6.0, meta=dict(jit.meta)),
+            cs.PointSet(d, jit.points[::-1], 6.0, meta=dict(jit.meta)),
+            dataclasses.replace(jit))
+        lat_copies = (
+            cs.PointSet(d, lat.points, 6.0, meta=dict(lat.meta)),
+            cs.PointSet(d, lat.points[::-1], 6.0, meta={"r_pack_structural": 0.5}))
+        monkeypatch.setattr(pointsets, "_nearest", counted)
+        for src, copies in ((jit, jit_copies), (lat, lat_copies)):
+            assert src._r_pack_certified == float(src.meta["r_pack_structural"])
+            assert calls == []
+            for ps in copies:
+                assert ps._r_pack_certified == src._r_pack_certified
+                assert calls == [src.n_points]
+                calls.clear()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d, R", [(1, 40.0), (2, 9.0), (3, 4.5)])
+def test_written_packing_radius_is_at_most_half_the_least_pair_gap(d, R,
+                                                                   monkeypatch):
+    # soundness of gen_jittered's written radius against every pair, also
+    # at non-dyadic jitter, where a float row fl(z + o) can land just past
+    # z +- jitter.  Offsets all at -jitter (u = 0) land past it at z = 1
+    # (1 - fl(0.7) > 0.3): then nothing is written and the set is measured
+    def must_not_measure(self):
+        raise AssertionError("the packing radius was measured")
+
+    def least_gap(ps):
+        p = ps.points
+        gaps = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2))
+        return gaps[~np.eye(p.shape[0], dtype=bool)].min()
+
+    with monkeypatch.context() as m:
+        m.setattr(pointsets.PointSet, "_r_pack_measured",
+                  property(must_not_measure))
+        for eta in (0.0, 0.1, 0.25, 0.3, 0.33, 0.45, 0.49):
+            for seed in (1, 2, 3):
+                ps = cs.gen_jittered(d, R, eta, seed)
+                rp = ps._r_pack_certified
+                assert rp == (1.0 - 2.0 * eta) / 2.0 <= least_gap(ps) / 2.0
+    monkeypatch.setattr(pointsets, "counter_uniform",
+                        lambda seed, *keys: np.zeros(keys[0].shape))
+    shifted = cs.gen_jittered(d, R, 0.3, seed=1)
+    monkeypatch.setattr(pointsets.PointSet, "_r_pack_measured",
+                        property(must_not_measure))
+    with pytest.raises(AssertionError, match="measured"):
+        shifted._r_pack_certified
+    monkeypatch.undo()
+    assert shifted._r_pack_certified == 0.2 <= least_gap(shifted) / 2.0
 
 
 def test_a_lattice_reads_its_packing_radius_without_a_kd_query(monkeypatch):
@@ -588,9 +677,6 @@ def test_a_lattice_reads_its_packing_radius_without_a_kd_query(monkeypatch):
     # the float the query gives; a lattice of 2d sites (R = 1.2) and every
     # set that is not gen_lattice's output take the query, including
     # integral sets holding a unit pair (axis0, wide)
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("the packing radius took a KD query")
-
     small = [cs.gen_lattice(d, 1.2) for d in (2, 3)]
     evens = [cs.PointSet(d, 2.0 * cs.gen_lattice(d, 15.0).points, 30.0)
              for d in (2, 3)]
@@ -599,7 +685,7 @@ def test_a_lattice_reads_its_packing_radius_without_a_kd_query(monkeypatch):
     wide = cs.PointSet(3, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-2e6, 0.0, 0.0],
                            [0.0, -2e6, 0.0], [0.0, 0.0, -2e6]], 3e6)
     with monkeypatch.context() as m:
-        m.setattr(pointsets, "_nearest", must_not_run)
+        m.setattr(pointsets, "_nearest", _kd_must_not_run)
         for d in (2, 3):
             for R in (15.0, math.sqrt(2.0)):
                 lat = cs.gen_lattice(d, R)
@@ -645,7 +731,7 @@ def test_no_lattice_path_builds_rows(monkeypatch):
                 assert radii.r_cover == min(c, R - margin) or margin < c
             radii = cs.measure_radii(ps, 2.0)
             alpha = d + 1.0
-            assert pointsets._certified_r_pack(ps) == 0.5
+            assert ps._r_pack_certified == 0.5
             assert cs.delone_tail_sum(ps, None, alpha, 2.0).err > 0.0
             assert cs.sandwich_check(ps, radii, alpha, 3.0).holds
             assert cs.check_annulus_bounds(ps, radii, 1.0, R).holds
@@ -654,9 +740,11 @@ def test_no_lattice_path_builds_rows(monkeypatch):
                                        np.linspace(0.0, 1.0, 5), 2.0)
             assert (prof.err <= 2.0).all()
             assert "points" not in ps.__dict__ and "radii" not in ps.__dict__
-        for ps in (jitter, sparse):
+        for ps, margin in ((jitter, 2.0), (sparse, sparse.region_radius - 1.0)):
             assert pointsets._structural_r_cover(ps) == math.inf
-            assert ps._is_lattice is False
+            # searched, though margin >= sqrt(3)/2: a lattice reads
+            # probe resolution 0
+            assert cs.measure_radii(ps, margin).probe_resolution > 0.0
         assert cs.measure_radii(jitter, 2.0).r_pack == jitter._r_pack_measured
         assert sparse._r_pack_measured == 1.0
     for case, ps in lattices.items():
@@ -676,7 +764,7 @@ def test_packing_radius_is_measured_once_per_set(monkeypatch):
         raise AssertionError("the packing radius was measured again")
 
     monkeypatch.setattr(pointsets, "_nearest", must_not_run)
-    assert pointsets._certified_r_pack(ps) == min(0.25, radii.r_pack)
+    assert ps._r_pack_certified == min(0.25, radii.r_pack)
     assert cs.sandwich_check(ps, radii, 3.0, 6.0).holds
     assert cs.check_annulus_bounds(ps, radii, 1.0, 8.0).holds
 
@@ -778,12 +866,14 @@ def test_structural_covering_radius_bounds_the_full_search(grid_sets):
         assert radii.r_cover_upper <= c == math.sqrt(d) / 2, d
 
 
-def test_a_lattice_missing_a_site_gets_no_structural_covering_radius():
+def test_a_lattice_missing_a_site_gets_no_structural_covering_radius(
+        monkeypatch):
     # the structural radius reads gen_lattice's mark, not meta or the rows:
     # Z^2 in R = 20 with the site (-10, 0) deleted, its meta copied, has a
     # hole that the full search finds; an exact copy, a replace() copy and
-    # a reordered copy carry no mark, and the search gives the lattice's
-    # radii on each
+    # a reordered copy carry no mark and none of the values gen_lattice
+    # writes: each takes a KD query for its packing radius, and the search
+    # gives the lattice's radii on each
     ps = cs.gen_lattice(2, 20.0)
     gone = (ps.points == [-10.0, 0.0]).all(axis=1)
     holed = cs.PointSet(dim=2, points=ps.points[~gone], region_radius=20.0,
@@ -800,7 +890,10 @@ def test_a_lattice_missing_a_site_gets_no_structural_covering_radius():
                         meta=dict(ps.meta))
     assert pointsets._structural_r_cover(ps) == math.sqrt(2) / 2
     for other in (copy, replaced, shuffled):
-        assert other._is_lattice is False
+        with monkeypatch.context() as m:
+            m.setattr(pointsets, "_nearest", _kd_must_not_run)
+            with pytest.raises(AssertionError, match="KD query"):
+                other._r_pack_measured
         assert pointsets._structural_r_cover(other) == math.inf
         for margin in (0.0, 2.0):
             assert cs.measure_radii(other, margin) == cs.measure_radii(ps, margin)
