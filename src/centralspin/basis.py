@@ -31,7 +31,6 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +38,6 @@ import numpy as np
 from .bounds import _fsum
 
 __all__ = [
-    "ThetaIndex",
-    "PiecewiseDyadic",
     "theta_eval",
     "theta_alpha_eval",
     "to_piecewise",
@@ -57,56 +54,15 @@ _MATERIALIZE_MAX_LEVEL = 22
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ThetaIndex:
-    """Finite ascending set of positive integers; empty denotes theta = 1."""
+def _index(alpha) -> tuple[int, ...]:
+    """alpha as the ascending tuple of its distinct entries, each >= 1.
 
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = tuple(self.indices)
-        if any(not isinstance(n, int) or n < 1 for n in idx):
-            raise ValueError("indices must be positive integers")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly ascending")
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def of(cls, indices) -> "ThetaIndex":
-        if isinstance(indices, ThetaIndex):
-            return indices
-        return cls(tuple(sorted(set(int(n) for n in indices))))
-
-    @property
-    def level(self) -> int:
-        return self.indices[-1] if self.indices else 0
-
-    def symmetric_difference(self, other: "ThetaIndex") -> "ThetaIndex":
-        return ThetaIndex.of(set(self.indices) ^ set(other.indices))
-
-
-@dataclass(frozen=True)
-class PiecewiseDyadic:
-    """Constant on each of the 2^level dyadic cells of [-1, 1]."""
-
-    level: int
-    cell_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.level <= _MATERIALIZE_MAX_LEVEL:
-            raise ValueError(
-                f"level must be in [0, {_MATERIALIZE_MAX_LEVEL}] to materialize")
-        vals = np.asarray(self.cell_values, dtype=np.float64)
-        if vals.shape != (1 << self.level,):
-            raise ValueError("cell_values must have exactly 2^level entries")
-        vals.setflags(write=False)
-        object.__setattr__(self, "cell_values", vals)
-
-    def evaluate(self, x: float) -> float:
-        if not -1.0 <= x <= 1.0:
-            raise ValueError("x must lie in [-1, 1]")
-        j = min(int((x + 1.0) * 0.5 * (1 << self.level)), (1 << self.level) - 1)
-        return float(self.cell_values[j])
+    The empty tuple denotes theta = 1.
+    """
+    idx = tuple(sorted({int(n) for n in alpha}))
+    if idx and idx[0] < 1:
+        raise ValueError("indices must be positive integers")
+    return idx
 
 
 def _digit(y: Fraction, n: int) -> int:
@@ -132,9 +88,8 @@ def theta_eval(n: int, x: float | Fraction) -> int:
 
 def theta_alpha_eval(alpha, x: float | Fraction) -> int:
     """Product of theta_n over n in alpha; the empty index gives 1."""
-    idx = ThetaIndex.of(alpha)
     out = 1
-    for n in idx.indices:
+    for n in _index(alpha):
         out *= theta_eval(n, x)
     return out
 
@@ -149,20 +104,19 @@ def _cell_signs(indices: tuple[int, ...], level: int) -> np.ndarray:
     return out
 
 
-def to_piecewise(alpha) -> PiecewiseDyadic:
-    """Exact cell representation of theta_alpha at level max(alpha).
+def to_piecewise(alpha) -> np.ndarray:
+    """The 2^level float64 cell values of theta_alpha, level = max(alpha).
 
     The cell value is theta_alpha at the cell midpoint, computed from the
     bits of the cell index (the midpoint's digits ARE those bits, followed
     by a 1 that no index in alpha reaches).
     """
-    idx = ThetaIndex.of(alpha)
-    level = idx.level
+    idx = _index(alpha)
+    level = idx[-1] if idx else 0
     if level > _MATERIALIZE_MAX_LEVEL:
         raise ValueError(f"index {level} too large to materialize "
                          f"(cap {_MATERIALIZE_MAX_LEVEL})")
-    return PiecewiseDyadic(level=level,
-                           cell_values=_cell_signs(idx.indices, level))
+    return _cell_signs(idx, level).astype(np.float64)
 
 
 def inner_product(alpha, beta) -> float:
@@ -177,10 +131,9 @@ def inner_product(alpha, beta) -> float:
     |gamma| <= 20; above, the pattern sum is 0 by factorization).  The
     result is exactly 1.0 for alpha == beta and exactly 0.0 otherwise.
     """
-    a, b = ThetaIndex.of(alpha), ThetaIndex.of(beta)
-    gamma = a.symmetric_difference(b)
-    level = max(a.level, b.level, 1)
-    g = len(gamma.indices)
+    a, b = _index(alpha), _index(beta)
+    level = max(a + b + (1,))
+    g = len(set(a) ^ set(b))
     if g <= 20:
         # compressed to the indices 1..g, each sign pattern is one cell
         signs = _cell_signs(tuple(range(1, g + 1)), g)
@@ -238,7 +191,7 @@ def t_fourier_action_check(k: int, n_range: int) -> bool:
     return True
 
 
-def partial_sum_x(N: int) -> PiecewiseDyadic:
+def partial_sum_x(N: int) -> np.ndarray:
     """S_N = sum_{k<=N} theta_k / 2^k, the level-N midpoint staircase.
 
     Summing the bit signs telescopes to the cell midpoint,
@@ -247,20 +200,27 @@ def partial_sum_x(N: int) -> PiecewiseDyadic:
     if not (isinstance(N, int) and 0 <= N <= _MATERIALIZE_MAX_LEVEL):
         raise ValueError(f"need 0 <= N <= {_MATERIALIZE_MAX_LEVEL}")
     j = np.arange(1 << N, dtype=np.float64)
-    return PiecewiseDyadic(level=N, cell_values=(2.0 * j + 1.0) / (1 << N) - 1.0)
+    return (2.0 * j + 1.0) / (1 << N) - 1.0
 
 
-def l2_distance_to_x(pw: PiecewiseDyadic) -> float:
-    """||pw - x||_2 under (1/2)dx, by exact per-cell quadratic integration.
+def l2_distance_to_x(cells) -> float:
+    """||f - x||_2 under (1/2)dx, by exact per-cell quadratic integration.
 
-    On a cell with midpoint m_j and width h the integral of (v_j - x)^2 is
-    h (v_j - m_j)^2 + h^3/12, so the distance needs no quadrature grid.
+    f is given by its cell values, a 1-D array of 2^level entries with
+    level <= 22.  On a cell with midpoint m_j and width h the integral of
+    (v_j - x)^2 is h (v_j - m_j)^2 + h^3/12, so the distance needs no
+    quadrature grid.
     """
-    n_cells = 1 << pw.level
+    cells = np.asarray(cells, dtype=np.float64)
+    n_cells = cells.size
+    if (cells.ndim != 1 or not n_cells or n_cells & (n_cells - 1)
+            or n_cells > 1 << _MATERIALIZE_MAX_LEVEL):
+        raise ValueError(f"need a 1-D array of 2^level cell values, level "
+                         f"in [0, {_MATERIALIZE_MAX_LEVEL}]")
     h = 2.0 / n_cells
     j = np.arange(n_cells, dtype=np.float64)
     mid = -1.0 + (2.0 * j + 1.0) / n_cells
-    sq = h * (pw.cell_values - mid) ** 2 + h ** 3 / 12.0
+    sq = h * (cells - mid) ** 2 + h ** 3 / 12.0
     return math.sqrt(_fsum(sq) / 2.0)
 
 
@@ -271,16 +231,16 @@ def l2_cauchy_check(A, N: int, M: int) -> float:
     number is recomputed as an honest piecewise integral over the 2^M dense
     cells of level M, and the two must agree within 1e-12.  Levels are
     capped at M <= 20, which bounds those cells at 2^20.  A is the coupling
-    prefix A_1..A_M (index k at A[k-1]); N == M returns 0.  Raises
-    AssertionError on disagreement.
+    prefix A_1..A_M (index k at A[k-1]), refused when shorter; N == M
+    returns 0.  Raises AssertionError on disagreement.
     """
     if not (0 <= N <= M <= 20):
         raise ValueError("need 0 <= N <= M <= 20 (the level cap)")
     if M == N:
         return 0.0
-    a = [float(A[k - 1]) for k in range(N + 1, M + 1)]
-    if len(a) != M - N:
+    if len(A) < M:
         raise ValueError("coupling prefix shorter than M")
+    a = [float(A[k - 1]) for k in range(N + 1, M + 1)]
     closed = math.sqrt(_fsum(np.square(a)))
     j = np.arange(1 << M, dtype=np.int64)
     diff = np.zeros(1 << M, dtype=np.float64)

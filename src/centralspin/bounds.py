@@ -62,12 +62,21 @@ An exact zero from ``_fsum`` is -0.0 only when every term is -0.0, and
 exact window sum S and rounds its interval outward: with tail the float
 tail bound, [value - err, value + err], evaluated in floats, contains
 [S, S + tail] exactly, and err is the least float >= tail/2 that does so.
+``seq_sum_integral_check`` builds its interval the same way: its head
+through ``_exact_counted`` (each count 1), its bracket in rationals, its
+err through ``_outward_err``.
+
+Both refuse, naming alpha, any term or bound that is not a finite float
+>= 2^-1022 (``_check_normal``): below the normal range a term loses its
+relative precision or reads 0, and the interval could miss the sum.
+``integral_tail`` refuses an integral that overflows.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,6 +97,7 @@ __all__ = [
 
 _HALF = 26  # bits in the low half of a 53-bit mantissa
 _MAX_SITES = 1 << _HALF  # keeps every exponent bin below 2^53: exact
+_NORMAL_MIN = sys.float_info.min  # 2^-1022, the least normal float
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,31 @@ def integral_tail(alpha: float, d: int, r: float) -> float:
         raise ValueError("alpha must be finite")
     if not r > 0.0:
         raise ValueError("need r > 0")
-    return r ** (d - alpha) / (alpha - d)
+    t = _pow(r, d - alpha) / (alpha - d)
+    if t == math.inf:
+        raise ValueError(f"tail integral at alpha = {alpha!r} overflows the "
+                         f"float range")
+    return t
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y for floats, inf where it overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _check_normal(alpha: float, *values: float) -> None:
+    """Refuse, naming alpha, unless each value is a finite float >= 2^-1022.
+
+    A term or bound that underflows reads 0 or loses its relative
+    precision, and the interval built from it could miss the exact sum.
+    """
+    if not all(_NORMAL_MIN <= v < math.inf for v in values):
+        raise ValueError(f"sum at alpha = {alpha!r} leaves the normal float "
+                         f"range: a term or bound is below 2^-1022 or "
+                         f"overflows")
 
 
 def _fsum(x: np.ndarray) -> float:
@@ -244,7 +278,9 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     Requires alpha > d and 0 <= r <= R_max.  The window sum powers each
     radius of ``ps.shells(r)`` once, in its stored ascending order, and
     adds it with its site count; pow is elementwise, so each term is the
-    per-site one.
+    per-site one.  Refuses, naming alpha, when the smallest window term or
+    the tail bound is not a finite float >= 2^-1022 (``_check_normal``):
+    at alpha = 400 in d = 1, S(10) ~ 2e-400 would read 0.
 
     The value is fl(fl(S) + tail/2), S the exact window sum.  err starts at
     tail/2 and is widened to the least float for which the endpoints, as
@@ -263,12 +299,15 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
         raise ValueError("need 0 <= r <= region_radius")
     rp = ps._r_pack_certified
     rho, cnt = ps.shells(r)
-    exact = _exact_counted(rho ** (-alpha), cnt)
+    terms = rho ** (-alpha)
+    exact = _exact_counted(terms, cnt)
     finite = float(exact)  # the terms are >= 0: no -0.0 to keep
     tail_cut = ps.region_radius - rp
     if tail_cut <= 0.0:
         raise ValueError("region too small for the packing radius")
     tail = (3.0 ** d) * d / rp ** d * integral_tail(alpha, d, tail_cut)
+    # rho ascends, so the last window term is the smallest
+    _check_normal(alpha, tail, *terms[-1:])
     # centre the interval on finite + tail/2 so err is half the bracket
     value = finite + 0.5 * tail
     return CertifiedValue(value=value, err=_outward_err(
@@ -360,8 +399,15 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
     level up.  The sequence side is summed exactly to a cutoff N >= 2M and
     its remainder certified by the *same* identity applied at N + 1, so
     the residual uncertainty is a factor ~2^(alpha+1) below the claimed
-    correction bound at every alpha > 1.  ``holds`` records certified
-    containment: integral - correction_bound <= seq <= integral.
+    correction bound at every alpha > 1.  As in ``delone_tail_sum``, the
+    head is the exact sum of its float terms (``_exact_counted``, each
+    count 1), the bracket [head + rem_int - rem_corr, head + rem_int] is
+    formed in rationals, and err is rounded outward (``_outward_err``) so
+    that both float endpoints hold it.  M is capped at 2^25, which keeps
+    the head's M + 1 terms inside the exact-sum range of 2^26 and its
+    arrays near 256 MiB; each term and bound must be a normal float
+    (``_check_normal``).  ``holds`` records certified containment:
+    integral - correction_bound <= seq <= integral.
     """
     if not alpha > 1.0:  # also refuses nan
         raise ValueError("sum diverges unless alpha > 1")
@@ -371,17 +417,24 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
         raise ValueError("M must be an integer")
     if M < 2:
         raise ValueError("need M >= 2 so the correction bound is usable")
+    if M > 1 << 25:
+        raise ValueError("need M <= 2^25 so the head sums exactly")
     integral = (M - 0.5) ** (1.0 - alpha) / (alpha - 1.0)
-    corr = alpha * (M - 1.5) ** (-alpha - 1.0) / 24.0
+    corr = alpha * _pow(M - 1.5, -alpha - 1.0) / 24.0
     N = max(2 * M, 1000)
     n = np.arange(M, N + 1, dtype=np.float64)
-    head = _fsum(n ** (-alpha))
+    terms = n ** (-alpha)
     # remainder over n >= N+1 certified recursively: it lies in
     # [tail_integral - corr(N+1), tail_integral]
     rem_int = (N + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
     rem_corr = alpha * (N - 0.5) ** (-alpha - 1.0) / 24.0
-    seq = CertifiedValue(value=head + rem_int - 0.5 * rem_corr,
-                         err=0.5 * rem_corr)
+    _check_normal(alpha, terms[-1], corr, rem_corr)
+    head = _exact_counted(terms, np.ones(n.size, dtype=np.int64))
+    hi = head + Fraction(rem_int)
+    lo = hi - Fraction(rem_corr)
+    value = float((lo + hi) / 2)
+    seq = CertifiedValue(value=value, err=_outward_err(
+        value, 0.5 * rem_corr, lo, hi))
     holds = (integral - corr <= seq.lo) and (seq.hi <= integral)
     return SeqIntegralReport(M=int(M), seq_sum=seq, integral=integral,
                              correction_bound=corr, holds=holds)

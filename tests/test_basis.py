@@ -44,24 +44,27 @@ def test_theta_is_a_sign(j, n):
 
 def test_piecewise_cells_match_midpoint_evaluation():
     for alpha in ((), (1,), (2,), (1, 2), (3,)):
-        pw = cs.to_piecewise(alpha)
+        cells = cs.to_piecewise(alpha)
         level = max(alpha) if alpha else 0
-        assert pw.level == level
         n_cells = 1 << level
+        assert cells.dtype == np.float64 and cells.shape == (n_cells,)
         mids = [-1.0 + (2 * i + 1) / n_cells for i in range(n_cells)]
         want = [theta_alpha_eval(alpha, m) for m in mids]
-        assert pw.cell_values.tolist() == want
+        assert cells.tolist() == want
 
 
 def test_second_function_cells():
-    assert cs.to_piecewise((2,)).cell_values.tolist() == [-1.0, 1.0, -1.0, 1.0]
+    cells = cs.to_piecewise((2,))
+    assert len(cells) == 4
+    assert cells.tolist() == [-1.0, 1.0, -1.0, 1.0]
 
 
 def test_piecewise_evaluate_agrees_pointwise():
-    pw = cs.to_piecewise((1, 3))
+    cells = cs.to_piecewise((1, 3))
     for j in range(100):
         x = counter_uniform_open(8, j) * 2.0 - 1.0
-        assert pw.evaluate(x) == theta_alpha_eval((1, 3), x)
+        cell = int((x + 1.0) * 0.5 * len(cells))  # x < 1: no cell past the end
+        assert cells[cell] == theta_alpha_eval((1, 3), x)
 
 
 def test_piecewise_level_cap():
@@ -84,16 +87,21 @@ def test_inner_product_is_exactly_orthonormal():
 
 
 def test_index_container_normalizes_and_validates():
-    idx = cs.ThetaIndex.of([3, 1, 2])
-    assert idx.indices == (1, 2, 3)
-    assert idx.level == 3
-    assert cs.ThetaIndex.of([1, 1]).indices == (1,)  # .of() deduplicates
-    with pytest.raises(ValueError):
-        cs.ThetaIndex((1, 1))  # the raw constructor does not
-    with pytest.raises(ValueError):
-        cs.ThetaIndex.of([0])
-    sym = cs.ThetaIndex.of([1, 2]).symmetric_difference(cs.ThetaIndex.of([2, 3]))
-    assert sym.indices == (1, 3)
+    for j in range(50):
+        x = counter_uniform_open(9, j) * 2.0 - 1.0
+        # order does not matter, and a repeated index counts once
+        assert theta_alpha_eval([3, 1, 2], x) == theta_alpha_eval((1, 2, 3), x)
+        assert theta_alpha_eval([1, 1], x) == theta_alpha_eval((1,), x)
+    assert cs.inner_product([3, 1, 2], (1, 2, 3)) == 1.0
+    assert cs.inner_product([1, 1], (1,)) == 1.0
+    assert cs.to_piecewise([3, 1, 2]).tolist() == cs.to_piecewise((1, 2, 3)).tolist()
+    for bad in ([0], [2, 0]):
+        with pytest.raises(ValueError, match="positive integers"):
+            theta_alpha_eval(bad, 0.25)
+        with pytest.raises(ValueError, match="positive integers"):
+            cs.inner_product(bad, ())
+    # the symmetric difference {1, 3} is nonempty: orthogonal
+    assert cs.inner_product([1, 2], [2, 3]) == 0.0
 
 
 # ------------------------------------------------------------------- fourier
@@ -141,6 +149,14 @@ def test_partial_sums_approach_identity_at_geometric_rate():
         assert abs(got - 2.0 ** (-N) / math.sqrt(3.0)) < 1e-12
 
 
+def test_l2_distance_refuses_a_malformed_cell_array():
+    for bad in (np.zeros((2, 2)), np.zeros(0), np.zeros(3)):
+        with pytest.raises(ValueError, match="2\\^level cell values"):
+            cs.l2_distance_to_x(bad)
+    # a list of 2^level values is read as its array
+    assert cs.l2_distance_to_x([0.0]) == cs.l2_distance_to_x(cs.partial_sum_x(0))
+
+
 def test_cauchy_tail_norm_closed_form():
     A = [2.0 ** -k for k in range(1, 5)]
     assert abs(cs.l2_cauchy_check(A, 2, 4) - math.sqrt(5.0) / 16.0) < 1e-15
@@ -164,3 +180,5 @@ def test_cauchy_rejects_bad_ranges():
         cs.l2_cauchy_check([1.0, 2.0], 1, 31)  # beyond the level cap
     with pytest.raises(ValueError, match="<= 20"):
         cs.l2_cauchy_check([1.0] * 21, 0, 21)  # one level past the cap
+    with pytest.raises(ValueError, match="coupling prefix shorter than M"):
+        cs.l2_cauchy_check([1.0, 0.5], 0, 3)  # A_3 is missing

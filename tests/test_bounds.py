@@ -58,6 +58,12 @@ def test_integral_tail_refuses_non_finite_inputs(alpha, r):
         cs.integral_tail(alpha, 1, r)
 
 
+def test_integral_tail_refuses_overflow_by_name():
+    # 0.7^-1999 is beyond the float range
+    with pytest.raises(ValueError, match="alpha = 2000.0 overflows"):
+        cs.integral_tail(2000.0, 1, 0.7)
+
+
 # ------------------------------------------------------------ delone_tail_sum
 
 def test_line_tail_sum_brackets_the_zeta_values():
@@ -255,6 +261,21 @@ def test_tail_sum_refuses_divergent_or_oversized_requests(grid_sets):
         cs.delone_tail_sum(tiny, tiny_radii, 2.0, 0.5)
 
 
+def test_tail_sum_refuses_terms_below_the_normal_range():
+    # S(10) ~ 2e-400 at alpha = 400: its terms and tail bound read 0
+    line = cs.gen_lattice(1, 100.0)
+    with pytest.raises(ValueError, match="alpha = 400.0 leaves the normal"):
+        cs.delone_tail_sum(line, None, 400.0, 10.0)
+    # the tail bound alone underflows when the window is empty
+    wide = cs.gen_lattice(1, 100.5)
+    assert wide.shells(100.5)[0].size == 0
+    with pytest.raises(ValueError, match="alpha = 400.0 leaves the normal"):
+        cs.delone_tail_sum(wide, None, 400.0, 100.5)
+    # the smallest term (1e2)^-150 = 1e-300 and the tail bound are normal
+    s = cs.delone_tail_sum(line, None, 150.0, 10.0)
+    assert s.lo > 0.0 and math.isclose(s.value, 2 * 10.0 ** -150, rel_tol=1e-6)
+
+
 def test_sets_without_a_structural_packing_radius_are_refused_alike():
     ps = cs.PointSet(1, np.arange(1.0, 50.0).reshape(-1, 1), 50.0)
     radii = cs.DeloneRadii(r_pack=0.5, r_cover=0.5)
@@ -332,6 +353,32 @@ def test_midpoint_comparison_rejects_divergent_exponent():
     with pytest.raises(ValueError, match="M must be an integer"):
         cs.seq_sum_integral_check(2.0, 2.5)
     assert cs.seq_sum_integral_check(2.0, np.int64(5)).M == 5
+
+
+def test_midpoint_comparison_contains_the_60_digit_tail():
+    # sum_{n >= M} n^-alpha, exactly: 3000 terms summed directly, then
+    # zeta(alpha, M + 3000) (zeta(alpha, M) alone is off by 7e-11 relative
+    # at alpha = 33.3, M = 1000)
+    with mpmath.workdps(60):
+        for alpha in (1.1, 1.5, 2.0, 3.0, 5.5, 8.0, 12.0, 20.0, 33.3, 50.0,
+                      77.0):
+            a = mpmath.mpf(alpha)
+            terms = [mpmath.mpf(n) ** -a for n in range(2, 4002)]
+            for M in (2, 3, 5, 10, 100, 1000):
+                exact = (mpmath.fsum(terms[M - 2:M + 2998])
+                         + mpmath.zeta(a, M + 3000))
+                seq = cs.seq_sum_integral_check(alpha, M).seq_sum
+                assert seq.lo <= exact <= seq.hi, (alpha, M)
+
+
+def test_midpoint_comparison_refuses_what_it_cannot_sum():
+    # above 2^25 the head leaves the exact-sum range; refused before any array
+    with pytest.raises(ValueError, match="M <= 2\\^25"):
+        cs.seq_sum_integral_check(2.0, (1 << 25) + 1)
+    # 2000^-120 underflows; 0.5^-1101 overflows
+    for alpha, M in ((120.0, 1000), (1100.0, 2)):
+        with pytest.raises(ValueError, match=f"alpha = {alpha!r} leaves"):
+            cs.seq_sum_integral_check(alpha, M)
 
 
 # ------------------------------------------------------------ asymptotic_ratio

@@ -254,6 +254,26 @@ def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--dim", "1", "--alpha", "800", "--rmax", "100", "--r", "10"],
+     "sum at alpha = 800.0 leaves the normal float range"),
+    (["ramsey", "--dim", "1", "--alpha", "200", "--r", "10", "--rmax", "100",
+      "--tmax", "1", "--dt", "0.5"],
+     "sum at alpha = 400.0 leaves the normal float range"),
+    (["ramsey", "--dim", "1", "--rmax", "1.2", "--alpha", "1000", "--r", "1",
+      "--tmax", "1", "--dt", "0.5"],
+     "tail integral at alpha = 2000.0 overflows the float range"),
+], ids=["bounds-alpha-800", "ramsey-alpha-200", "ramsey-alpha-1000"])
+def test_tail_sums_outside_the_float_range_exit_two(argv, message, tmp_path,
+                                                    monkeypatch, capsys):
+    # the tail sum, or the S2 normalisation at 2 alpha, underflows or
+    # overflows: a refusal, not a zero sum or a crash
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(argv + ["--out", "x.csv"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not os.listdir(tmp_path)
+
+
 def test_a_wide_poisson_window_meets_its_grid_refusal(tmp_path, monkeypatch,
                                                       capsys):
     # the --rmax cap bounds lattice and jittered windows only: a Poisson
