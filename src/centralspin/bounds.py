@@ -33,9 +33,9 @@ with T(alpha, d, r) = r^(d-alpha)/(alpha-d) the exact tail integral.
 Upper bounds must use a *lower* estimate of r_pack and lower bounds an
 *upper* estimate of r_cover, so the helpers below consistently take
 the set's certified packing radius ``PointSet._r_pack_certified`` (the
-smaller of the measured and the structural packing radius, which
-``gen_lattice`` and ``gen_jittered`` write when they prove it; the one
-rule, shared with the annulus checks) for upper bounds and
+radius ``gen_lattice`` and ``gen_jittered`` pass to the constructor when
+they prove it, else the smaller of the measured and the structural packing
+radius; the one rule, shared with the annulus checks) for upper bounds and
 ``r_cover + probe_resolution`` for lower bounds.
 
 Every finite sum is the exact sum of its terms, rounded once: its error
@@ -290,8 +290,10 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     S + tail.
 
     ``radii`` is accepted and not read: the packing radius is the set's
-    own (``PointSet._r_pack_certified``).  Callers in this package pass
-    ``None``; the argument goes when the benchmark's calls drop it.
+    own (``PointSet._r_pack_certified``), so a set that proves none and
+    whose meta carries no finite ``r_pack_structural`` > 0 is refused.
+    Callers in this package pass ``None``; the argument goes when the
+    benchmark's calls drop it.
     """
     d = ps.dim
     _check_tail_exponent(d, alpha)

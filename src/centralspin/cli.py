@@ -138,7 +138,7 @@ def _cmd_points(args) -> int:
     radii = pointsets.measure_radii(ps, margin=args.margin)
     _write_csv(args.out, [f"x{i + 1}" for i in range(ps.dim)],
                list(ps.points.T))
-    _write_json(args.out + ".json", args, n_points=ps.n_points, meta=ps.meta,
+    _write_json(args.out + ".json", args, n_points=ps.n_points, meta=dict(ps.meta),
                 radii=asdict(radii))
     return 0
 

@@ -16,9 +16,9 @@ points, so this module is organized around three things:
   sampling;
 * empirical measurement of the two Delone constants (r_pack, r_cover), the
   covering radius by rigorous branch-and-bound probing of the 1-Lipschitz
-  distance-to-set function; ``gen_lattice`` marks its output, whose r_pack
-  is 1/2 and whose r_cover, margin allowing, is sqrt(d)/2 with no search
-  (in d = 1 at every margin);
+  distance-to-set function; a generator passes what it proves to the
+  ``PointSet`` constructor (a lattice: r_pack 1/2 and r_cover sqrt(d)/2,
+  read, margin allowing, with no search; in d = 1 at every margin);
 * radial annulus counting together with the volume-argument count bounds
 
       (b/r_cover - 1)^d - (a/r_cover + 1)^d  <=  N(a, b)
@@ -34,17 +34,19 @@ generation is deterministic in (parameters, seed) via counter-based
 randomness keyed on structured indices, so enlarging the region never
 reshuffles the points that were already there.
 
-A lattice holds its shells.  ``gen_lattice`` stores the radial shells of
-Z^d and their site counts r_d(n), the coefficients of theta_3(q)^d, and
-builds its rows (``points`` and ``radii``) only when they are first read:
-the sums, profiles, counts and radii read the shells alone.
+A set is read-only, and only its constructor writes it.  A lattice holds
+its shells: ``gen_lattice`` passes the radial shells of Z^d and their site
+counts r_d(n), the coefficients of theta_3(q)^d, and its rows (``points``
+and ``radii``) are built only when first read: the sums, profiles, counts
+and radii read the shells alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -87,6 +89,12 @@ def _cartesian(values: np.ndarray, d: int) -> np.ndarray:
                     axis=-1).reshape(-1, d)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def _check_dim(d: int) -> None:
     if d not in _DIMS:
         raise ValueError(f"dimension must be one of {_DIMS}, got {d!r}")
@@ -97,7 +105,6 @@ def _check_dim(d: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class PointSet:
     """Finite truncation of a Delone set inside the ball |p| <= region_radius.
 
@@ -108,75 +115,80 @@ class PointSet:
     ball; ``meta`` records the generator and its parameters, including the
     structural packing-radius certificate ``r_pack_structural`` that the
     tail-bound machinery relies on.  ``radii`` holds the radial distances
-    rho = |p|, the norms taken once to validate the set (read-only).
-    ``_is_lattice`` marks ``gen_lattice``'s output.  The generators write
-    what they prove (the mark, ``n_points``, ``_shell_index``, packing
-    radii; see ``gen_lattice`` and ``gen_jittered``) into the instance
-    without the constructor; neither it nor ``dataclasses.replace``
-    carries them, so any other set, a copy included, is measured once.
+    rho = |p|, the norms taken once to validate the set.
 
-    A lattice holds its shells, not its rows.  ``points`` and ``radii``
-    are built on their first read (``__getattr__``), from
-    ``_probe_lattice(d, region_radius, 1, 1)``, read-only and in that
-    enumeration's lexicographic order.
+    The constructor is the only code that writes a set: the set, its
+    arrays and its ``meta`` (a read-only mapping over a copy) are
+    read-only.  A generator passes what it proves as private keywords:
+    ``_r_pack``, the certified packing radius; ``_r_cover``, the covering
+    radius of the infinite set (None: not proved); and, from
+    ``gen_lattice`` only, ``_shells``, its (radius, count) shells, and
+    ``_gap``, its measured packing radius, in place of rows.  Any other
+    set, a copy of a generated one included, proves nothing and is
+    measured once.
+
+    A set given shells and no rows builds ``points`` and ``radii`` on
+    their first read, from ``_probe_lattice(d, region_radius, 1, 1)``, in
+    that enumeration's lexicographic order.
     """
 
-    dim: int
-    points: np.ndarray
-    region_radius: float
-    meta: Mapping[str, Any] = field(default_factory=dict)
-    radii: np.ndarray = field(init=False, repr=False)
-    _is_lattice: bool = field(default=False, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points must have shape (n, {self.dim}), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
-        if not 0 < self.region_radius < math.inf:
+    def __init__(self, dim: int, points: Any, region_radius: float,
+                 meta: Mapping[str, Any] | None = None, *,
+                 _r_pack: float | None = None, _r_cover: float | None = None,
+                 _shells: tuple[np.ndarray, np.ndarray] | None = None,
+                 _gap: float | None = None) -> None:
+        _check_dim(dim)
+        if not 0 < region_radius < math.inf:
             raise ValueError("region_radius must be positive and finite")
-        norms = np.linalg.norm(pts, axis=1)
-        if pts.shape[0] and not (norms > 0).all():
-            raise ValueError("the origin (central spin site) cannot be a bath point")
-        if pts.shape[0] and norms.max() > self.region_radius:
-            raise ValueError("all points must satisfy |p| <= region_radius")
-        # equal rows sort next to each other; float equality, so -0.0 and
-        # 0.0 are the same coordinate
-        srt = pts[np.lexsort(pts.T[::-1])]
-        if (srt[1:] == srt[:-1]).all(axis=1).any():
-            raise ValueError("duplicate points are not allowed")
-        pts.setflags(write=False)
-        norms.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "radii", norms)
-        object.__setattr__(self, "meta", dict(self.meta))
+        state = {"dim": dim, "region_radius": region_radius,
+                 "meta": MappingProxyType(dict(meta or {})),
+                 "_r_pack": _r_pack, "_r_cover": _r_cover}
+        if _shells is not None:
+            state["_shell_index"] = tuple(map(_frozen, _shells))
+            state["n_points"] = int(_shells[1].sum())
+        else:
+            pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+            if pts.ndim != 2 or pts.shape[1] != dim:
+                raise ValueError(f"points must have shape (n, {dim}), got {pts.shape}")
+            if not np.isfinite(pts).all():
+                raise ValueError("points must be finite")
+            norms = np.linalg.norm(pts, axis=1)
+            if pts.shape[0] and not (norms > 0).all():
+                raise ValueError("the origin (central spin site) cannot be a bath point")
+            if pts.shape[0] and norms.max() > region_radius:
+                raise ValueError("all points must satisfy |p| <= region_radius")
+            # equal rows sort next to each other; float equality, so -0.0 and
+            # 0.0 are the same coordinate
+            srt = pts[np.lexsort(pts.T[::-1])]
+            if (srt[1:] == srt[:-1]).all(axis=1).any():
+                raise ValueError("duplicate points are not allowed")
+            state.update(points=_frozen(pts), radii=_frozen(norms),
+                         n_points=pts.shape[0])
+        if _gap is not None:
+            state["_r_pack_measured"] = _gap
+        vars(self).update(state)
 
-    def __getattr__(self, name: str) -> Any:
-        # reached only for an attribute the instance lacks: a lattice's
-        # rows before their first read
-        if name not in ("points", "radii") or not self._is_lattice:
-            raise AttributeError(f"'PointSet' object has no attribute {name!r}")
-        pts = np.concatenate(tuple(_probe_lattice(self.dim, self.region_radius,
-                                                  1.0, 1.0)))
-        norms = np.linalg.norm(pts, axis=1)
-        pts.setflags(write=False)
-        norms.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "radii", norms)
-        return self.__dict__[name]
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"PointSet is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PointSet is read-only: cannot delete {name!r}")
 
     @cached_property
-    def n_points(self) -> int:
-        return self.points.shape[0]
+    def points(self) -> np.ndarray:
+        # reached only by a set given shells and no rows
+        return _frozen(np.concatenate(tuple(
+            _probe_lattice(self.dim, self.region_radius, 1.0, 1.0))))
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        # reached only by a set given shells and no rows
+        return _frozen(np.linalg.norm(self.points, axis=1))
 
     @cached_property
     def _shell_index(self) -> tuple[np.ndarray, np.ndarray]:
         rho, cnt = np.unique(self.radii, return_counts=True)
-        rho.setflags(write=False)
-        cnt.setflags(write=False)
-        return rho, cnt
+        return _frozen(rho), _frozen(cnt)
 
     def shells(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Distinct radii >= r (closed at r), ascending, and their site counts.
@@ -192,9 +204,7 @@ class PointSet:
     def _sorted_line(self) -> np.ndarray:
         """The coordinates of a d = 1 set in ascending order (read-only), one
         sort shared by the packing and covering measurements."""
-        xs = np.sort(self.points.ravel())
-        xs.setflags(write=False)
-        return xs
+        return _frozen(np.sort(self.points.ravel()))
 
     @cached_property
     def _r_pack_measured(self) -> float:
@@ -202,8 +212,8 @@ class PointSet:
 
         Neighbour gaps of ``_sorted_line`` in d = 1, one KD query with k = 2
         in d >= 2; +inf for a set of fewer than 2 points.  ``measure_radii``
-        reports it as ``r_pack``; ``gen_lattice`` writes the value it
-        proves.
+        reports it as ``r_pack``; a lattice starts with the value
+        ``gen_lattice`` passes as ``_gap``.
         """
         if self.n_points < 2:
             return math.inf
@@ -214,20 +224,25 @@ class PointSet:
 
     @cached_property
     def _r_pack_certified(self) -> float:
-        """min(structural, measured), the packing radius of upper bounds.
+        """The packing radius of upper bounds: ``_r_pack`` when the generator
+        proved it, else min(structural, measured).
 
         The measured r_pack covers every stored point, but the tail bounds
         also count sites beyond region_radius, where only the generator's
-        ``r_pack_structural`` holds, so a set whose meta carries none is
-        refused.  ``gen_lattice`` and ``gen_jittered`` write the value when
-        they prove it; any other set is measured once, by the computation
-        ``measure_radii`` reports (+inf below 2 points).
+        ``r_pack_structural`` holds, so a set whose meta carries none, or
+        one that is not a finite float > 0, is refused.  The measurement is
+        the one ``measure_radii`` reports (+inf below 2 points).
         """
+        if self._r_pack is not None:
+            return self._r_pack
         if self.meta.get("r_pack_structural") is None:
             raise ValueError("point set meta carries no structural packing "
                              "radius (r_pack_structural)")
-        return min(float(self.meta["r_pack_structural"]),
-                   self._r_pack_measured)
+        structural = float(self.meta["r_pack_structural"])
+        if not (math.isfinite(structural) and structural > 0.0):
+            raise ValueError("r_pack_structural must be finite and > 0, got "
+                             f"{structural!r}")
+        return min(structural, self._r_pack_measured)
 
 
 @dataclass(frozen=True)
@@ -282,7 +297,9 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
     """All points of Z^d \\ {0} with |p| <= R_max.
 
     The integer lattice has packing radius 1/2 (unit minimum spacing) and
-    covering radius sqrt(d)/2 (deep holes at half-integer cell centers).
+    covering radius sqrt(d)/2, the distance from a cell centre, a deep
+    hole, to its corners (Conway and Sloane, *Sphere Packings, Lattices
+    and Groups*, ch. 2).
 
     The set is built as its shells, not its rows.  Its sites are the rows
     of ``_probe_lattice(d, R_max, 1, 1)``: every z != 0 with |z_k| <= m =
@@ -298,8 +315,10 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
     ``np.unique`` of the rows' norms and counts, bit for bit.  The rows
     are built when first read (see ``PointSet``).
 
-    The set is written with its size and the packing radii it proves, so
-    none reads a row.  Distinct integer rows lie >= 1 apart, and with more
+    The set is constructed from what it proves, so none reads a row: its
+    shells, packing radius 1/2 (``_r_pack``), covering radius sqrt(d)/2
+    (``_r_cover``) and, where no row is needed for it, the measured packing
+    radius (``_gap``).  Distinct integer rows lie >= 1 apart, and with more
     than 2d sites e_1 and e_1 + e_2 (1 and 2 in d = 1) are sites, as only
     +-e_k have z.z = 1: the measured radius is 1/2, the KD query's float
     sqrt(1.0) / 2 and the gap's 1.0 / 2.  The d = 1 pair -1, 1 measures
@@ -327,21 +346,10 @@ def gen_lattice(d: int, R_max: float) -> PointSet:
         r_d = np.bincount(n, weights=wt).astype(np.intp)
         shell = np.flatnonzero(r_d[1:]) + 1
         rho, cnt = np.sqrt(shell.astype(np.float64)), r_d[shell]
-    rho.setflags(write=False)
-    cnt.setflags(write=False)
     meta = {"kind": "lattice", "dim": d, "R_max": R, "r_pack_structural": 0.5}
-    n = int(cnt.sum())
-    written = {"dim": d, "region_radius": R, "meta": meta, "_is_lattice": True,
-               "_shell_index": (rho, cnt), "n_points": n,
-               "_r_pack_certified": 0.5}
-    if n > 2 * d:
-        written["_r_pack_measured"] = 0.5
-    elif d == 1:  # -1 and 1
-        written["_r_pack_measured"] = 1.0
-    ps = object.__new__(PointSet)
-    for name, value in written.items():
-        object.__setattr__(ps, name, value)
-    return ps
+    gap = 0.5 if cnt.sum() > 2 * d else 1.0 if d == 1 else None
+    return PointSet(d, None, R, meta, _r_pack=0.5, _r_cover=math.sqrt(d) / 2.0,
+                    _shells=(rho, cnt), _gap=gap)
 
 
 def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
@@ -355,15 +363,16 @@ def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
     nonzero integer axis gap shrinks by at most 2*jitter), which is the
     structural packing certificate recorded in meta.
 
-    That radius is written as the certified one when the float rows prove
-    it.  The anchors z are distinct, as enumerated, and eta = max |p - z|
-    over the kept rows is exact in floats.  Rows with anchors a != b differ
-    by >= 1 - 2 eta in a coordinate where a and b differ; rounding is
+    That radius is passed as the certified one (``_r_pack``) when the
+    float rows prove it.  The anchors z are distinct, as enumerated, and
+    eta = max |p - z| over the kept rows is exact in floats.  Rows with
+    anchors a != b differ by >= 1 - 2 eta in a coordinate where a and b
+    differ; rounding is
     monotone, so the measurement forms a difference >= c = fl(1 - 2 eta)
     there, a sum of squares >= fl(c * c), and sqrt(fl(c * c)) = c in
     binary64.  So if structural <= c / 2, min(structural, measured) is
     structural bit for bit.  A row fl(z + o) can land just past z +-
-    jitter; then nothing is written, and the set is measured.
+    jitter; then none is passed, and the set is measured.
     """
     _check_dim(d)
     if not 1 <= R_max < math.inf:
@@ -382,11 +391,10 @@ def gen_jittered(d: int, R_max: float, jitter: float, seed: int) -> PointSet:
     meta = {"kind": "jittered", "dim": d, "R_max": float(R_max),
             "jitter": float(jitter), "seed": int(seed),
             "r_pack_structural": structural}
-    ps = PointSet(dim=d, points=pts, region_radius=float(R_max), meta=meta)
     eta = float(np.abs(pts - z).max(initial=0.0))
-    if structural <= (1.0 - 2.0 * eta) / 2.0:
-        object.__setattr__(ps, "_r_pack_certified", structural)
-    return ps
+    proved = structural <= (1.0 - 2.0 * eta) / 2.0
+    return PointSet(d, pts, float(R_max), meta,
+                    _r_pack=structural if proved else None)
 
 
 def _cell_offsets(d: int, nc: int, strides: np.ndarray) -> np.ndarray:
@@ -819,17 +827,20 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
     geometry.  (Without this, the 1-D integer lattice would report
     r_cover = 1 from the probe at the origin instead of its true 1/2.)
 
-    A lattice (``_structural_r_cover`` c = sqrt(d)/2) is not searched
-    when margin >= c and the deep hole (1/2, ..., 1/2) lies in the domain,
-    by the float test 0.25 d <= R_dom^2 that the search's first level
-    makes.  Every probe q then has a site p of Z^d, the origin included,
-    with |q - p| <= c, so |p| <= |q| + c <= region_radius: p is stored,
-    and c bounds the supremum, which the deep hole attains.  r_cover = c
-    with probe_resolution 0 is the pair the search ends on after
-    confirming every tie.  With a smaller margin the nearest site of a
-    probe near the edge may lie beyond the window, and the search runs,
-    except on a d = 1 lattice: its sites are -m..m with m = n_points / 2,
-    and ``_lattice_cover_1d`` reads the exact search's float from m.
+    A set with a proved covering radius c (``PointSet._r_cover``; only
+    ``gen_lattice`` passes one, sqrt(d)/2) is not searched when margin >=
+    c and the deep hole (1/2, ..., 1/2) lies in the domain, by the float
+    test 0.25 d <= R_dom^2 that the search's first level makes.  Every
+    probe q then has a site p of Z^d, the origin included, with |q - p| <=
+    c, so |p| <= |q| + c <= region_radius: p is stored, and c bounds the
+    supremum, which the deep hole attains.  r_cover = c with
+    probe_resolution 0 is the pair the search ends on after confirming
+    every tie.  With a smaller margin the nearest site of a probe near the
+    edge may lie beyond the window, and the search runs, except in d = 1,
+    where a proved covering radius is a lattice's: its sites are -m..m
+    with m = n_points / 2, and ``_lattice_cover_1d`` reads the exact
+    search's float from m.  A hand-built set, an exact copy of a lattice
+    included, proves nothing and is searched, which gives the same floats.
     """
     _check_margin(margin)
     R_dom = ps.region_radius - margin
@@ -837,10 +848,10 @@ def measure_radii(ps: PointSet, margin: float = 0.0) -> DeloneRadii:
         raise ValueError("margin leaves no probe domain")
     if ps.n_points < 2:
         raise ValueError("need at least 2 points")
-    c = _structural_r_cover(ps)
-    if margin >= c and 0.25 * ps.dim <= R_dom * R_dom:
+    c = ps._r_cover
+    if c is not None and margin >= c and 0.25 * ps.dim <= R_dom * R_dom:
         return DeloneRadii(r_pack=ps._r_pack_measured, r_cover=c)
-    if ps.dim == 1 and ps._is_lattice:
+    if ps.dim == 1 and c is not None:
         return DeloneRadii(r_pack=ps._r_pack_measured,
                            r_cover=_lattice_cover_1d(ps.n_points // 2, R_dom))
     if ps.dim == 1:
@@ -868,24 +879,6 @@ def count_annulus(ps: PointSet, a: float, b: float) -> int:
         raise ValueError("b exceeds region_radius: the set is incomplete there")
     rho, cnt = ps.shells(a)
     return int(cnt[:np.searchsorted(rho, b, side="right")].sum())
-
-
-def _structural_r_cover(ps: PointSet) -> float:
-    """sqrt(d)/2, the covering radius of Z^d, for ``gen_lattice``'s output;
-    +inf for every other set.
-
-    sqrt(d)/2 is the distance from a cell centre to its corners (Conway
-    and Sloane, *Sphere Packings, Lattices and Groups*, ch. 2).  The set
-    is known by ``PointSet._is_lattice``, the mark ``gen_lattice`` sets at
-    construction, not by ``meta`` or a row check.  The mark is sound: the
-    rows are ``_probe_lattice(d, region_radius, 1, 1)``, every z != 0 with
-    z.z <= fl(R^2) (z.z is an integer, exact in floats, and rounding is
-    monotone, so this is every z with |z| <= R), and they are read-only.
-    The mark never enters ``meta``.  A hand-built set, an exact copy of a
-    lattice included, gets +inf and the full search, which returns the
-    same floats; Poisson-disk samples get no bound here.
-    """
-    return math.sqrt(ps.dim) / 2.0 if ps._is_lattice else math.inf
 
 
 def check_annulus_bounds(ps: PointSet, radii: DeloneRadii,

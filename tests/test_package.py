@@ -1,5 +1,6 @@
 """The package surface: each module's ``__all__`` is its one declaration."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -48,3 +49,31 @@ def test_readme_library_quick_start_runs(capsys):
     s2_line, check_line = capsys.readouterr().out.splitlines()
     assert s2_line.startswith("S2 = ") and " +/- " in s2_line
     assert check_line.split()[0] == "True"
+
+
+def test_only_constructors_write_instances():
+    # a value is written once, by the constructor of its class: nothing
+    # else reaches past a frozen class with object.__setattr__ or builds
+    # one with object.__new__, and no class fills attributes on demand
+    found = []
+
+    def visit(node, func, path):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+                if isinstance(node, ast.ClassDef) and child.name == "__getattr__":
+                    found.append(f"{path}:{child.lineno} {node.name}.__getattr__")
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in ("__setattr__", "__new__")
+                  and isinstance(child.func.value, ast.Name)
+                  and child.func.value.id == "object"
+                  and func not in ("__init__", "__post_init__")):
+                found.append(f"{path}:{child.lineno} object.{child.func.attr} "
+                             f"in {func}")
+            visit(child, inner, path)
+
+    for path in sorted(Path(centralspin.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.name)
+    assert found == []

@@ -1,6 +1,5 @@
 """Point-set generators, Delone radii, and annulus counting."""
 
-import dataclasses
 import hashlib
 import math
 import re
@@ -84,7 +83,7 @@ def test_lattice_shells_property(d, R):
 def test_line_lattice_radii_equal_the_row_computation(R):
     # in d = 1 a lattice's radii are read from m = floor(R) at every margin;
     # the sorted-line gap and the exact covering search over its rows, and
-    # an unmarked copy that measures them, give the same floats.  R - 0.25
+    # a hand-built copy that measures them, give the same floats.  R - 0.25
     # leaves a domain holding no midpoint, where only the ends count
     ps = cs.gen_lattice(1, R)
     copy = cs.PointSet(1, ps.points, R, meta=dict(ps.meta))
@@ -605,10 +604,10 @@ def test_jittered_packing_radius_is_proved_from_distinct_anchors(monkeypatch):
 
 
 def test_copies_of_a_generated_set_take_the_kd_query(monkeypatch):
-    # only the generator writes the radius it proves: an exact, a reversed
-    # and a replace() copy of a jittered set, and hand-built integral sets
-    # (a lattice's rows, in order and reversed), take one KD query each and
-    # get the generator's float
+    # only the generator passes the radius it proves: an exact and a
+    # reversed copy of a jittered set, and hand-built integral sets (a
+    # lattice's rows, in order and reversed), take one KD query each and get
+    # the generator's float
     calls = []
 
     def counted(points):
@@ -621,8 +620,7 @@ def test_copies_of_a_generated_set_take_the_kd_query(monkeypatch):
         lat = cs.gen_lattice(d, 6.0)
         jit_copies = (
             cs.PointSet(d, jit.points.copy(), 6.0, meta=dict(jit.meta)),
-            cs.PointSet(d, jit.points[::-1], 6.0, meta=dict(jit.meta)),
-            dataclasses.replace(jit))
+            cs.PointSet(d, jit.points[::-1], 6.0, meta=dict(jit.meta)))
         lat_copies = (
             cs.PointSet(d, lat.points, 6.0, meta=dict(lat.meta)),
             cs.PointSet(d, lat.points[::-1], 6.0, meta={"r_pack_structural": 0.5}))
@@ -707,7 +705,7 @@ def test_a_lattice_reads_its_packing_radius_without_a_kd_query(monkeypatch):
 
 
 def test_no_lattice_path_builds_rows(monkeypatch):
-    # a lattice holds its shells and its mark: built while _probe_lattice
+    # a lattice holds its shells and its proofs: built while _probe_lattice
     # fails, it runs every lattice path with no row enumerated, and its
     # rows, read afterwards, are the recorded read-only ones.  A jittered
     # set and a set far sparser than its ball, which a row check would
@@ -741,7 +739,7 @@ def test_no_lattice_path_builds_rows(monkeypatch):
             assert (prof.err <= 2.0).all()
             assert "points" not in ps.__dict__ and "radii" not in ps.__dict__
         for ps, margin in ((jitter, 2.0), (sparse, sparse.region_radius - 1.0)):
-            assert pointsets._structural_r_cover(ps) == math.inf
+            assert ps._r_cover is None
             # searched, though margin >= sqrt(3)/2: a lattice reads
             # probe resolution 0
             assert cs.measure_radii(ps, margin).probe_resolution > 0.0
@@ -754,6 +752,71 @@ def test_no_lattice_path_builds_rows(monkeypatch):
         assert ps.points is ps.points and ps.radii is ps.radii
         with pytest.raises(ValueError, match="read-only"):
             ps.points[0, 0] = 0.0
+
+
+# names a set holds, whether given to its constructor or measured on it
+_HELD = ("points", "radii", "meta", "dim", "n_points", "_r_pack", "_r_cover",
+         "_shell_index", "_r_pack_measured", "_r_pack_certified")
+
+
+def _assert_read_only(ps):
+    for name in _HELD:
+        with pytest.raises(AttributeError):
+            setattr(ps, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(ps, name)
+
+
+def test_a_point_set_is_read_only():
+    # only the constructor writes a set: setting or deleting a row array,
+    # meta, dim or a proof raises on a lattice before and after its rows
+    # are read, on a jittered set and on a hand-built set, and every array
+    # it hands out is read-only
+    lattice = cs.gen_lattice(2, 6.0)
+    _assert_read_only(lattice)
+    assert "points" not in vars(lattice) and "radii" not in vars(lattice)
+    jitter = cs.gen_jittered(2, 6.0, 0.25, 3)
+    hand = cs.PointSet(2, [[1.0, 0.0], [0.0, 2.0]], 5.0,
+                       meta={"r_pack_structural": 0.5})
+    for ps in (lattice, jitter, hand):
+        arrays = (ps.points, ps.radii) + ps.shells(0.0)
+        _assert_read_only(ps)
+        assert not any(a.flags.writeable for a in arrays)
+        assert ps.points is arrays[0] and ps.radii is arrays[1]
+
+
+def test_meta_is_read_only():
+    # a certificate cannot depend on when meta is written: writing to it
+    # raises, on generated and hand-built sets, and a hand-built set holds
+    # a copy of the mapping it was given
+    poisson = cs.gen_poisson_disk(2, 10.0, 1.0, 0)
+    given = {"r_pack_structural": 0.5}
+    hand = cs.PointSet(1, [[1.0], [3.0]], 5.0, meta=given)
+    given["r_pack_structural"] = 100.0
+    for ps in (poisson, cs.gen_lattice(2, 6.0), cs.gen_jittered(2, 6.0, 0.25, 3),
+               hand, cs.PointSet(1, [[1.0]], 5.0)):
+        with pytest.raises(TypeError):
+            ps.meta["r_pack_structural"] = 100.0
+    assert hand.meta["r_pack_structural"] == 0.5
+    assert poisson._r_pack_certified == 0.5
+
+
+@pytest.mark.parametrize("structural", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda ps: cs.delone_tail_sum(ps, None, 3.0, 2.0),
+    lambda ps: cs.check_annulus_bounds(ps, cs.DeloneRadii(0.5, 0.5), 1.0, 10.0),
+    lambda ps: cs.evaluate_profile(ps, None, 3.0, 2.0,
+                                   np.linspace(0.0, 1.0, 3), 2.0),
+], ids=["delone_tail_sum", "check_annulus_bounds", "evaluate_profile"])
+def test_a_structural_packing_radius_must_be_finite_and_positive(call,
+                                                                 structural):
+    # 0, a negative or a nan radius bounds nothing, and +inf would leave
+    # the measured radius, which nothing proves beyond the window, as the
+    # certified one: each is refused by name through every reader
+    ps = cs.PointSet(1, np.arange(1.0, 50.0)[:, None], 50.0,
+                     meta={"r_pack_structural": structural})
+    with pytest.raises(ValueError, match="r_pack_structural"):
+        call(ps)
 
 
 def test_packing_radius_is_measured_once_per_set(monkeypatch):
@@ -827,7 +890,7 @@ def test_stopped_covering_search_equals_the_full_search(monkeypatch):
         for R in radii_at:
             ps = cs.gen_lattice(d, R)
             sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
-            c = pointsets._structural_r_cover(ps)
+            c = ps._r_cover
             assert c == math.sqrt(d) / 2
             for margin in (c, c + 0.5, 0.0, c / 2):
                 if d == 1:
@@ -849,15 +912,15 @@ def test_stopped_covering_search_equals_the_full_search(monkeypatch):
 
 
 def test_structural_covering_radius_bounds_the_full_search(grid_sets):
-    # the oracle of _structural_r_cover: the full search's r_cover +
+    # the oracle of a lattice's proved covering radius: the full search's r_cover +
     # probe_resolution never exceeds it.  The grid lattices run the full
     # search here; jittered and Poisson sets have no structural bound.
     for (d, kind), (ps, radii) in grid_sets[0].items():
-        c = pointsets._structural_r_cover(ps)
+        c = ps._r_cover
         if d == 1:
             continue
         if kind != "lattice":
-            assert c == math.inf, (d, kind)
+            assert c is None, (d, kind)
             continue
         sites = np.concatenate([ps.points, np.zeros((1, d))], axis=0)
         full = pointsets._covering_bnb(sites, d, ps.region_radius - RADII_MARGIN,
@@ -868,33 +931,32 @@ def test_structural_covering_radius_bounds_the_full_search(grid_sets):
 
 def test_a_lattice_missing_a_site_gets_no_structural_covering_radius(
         monkeypatch):
-    # the structural radius reads gen_lattice's mark, not meta or the rows:
-    # Z^2 in R = 20 with the site (-10, 0) deleted, its meta copied, has a
-    # hole that the full search finds; an exact copy, a replace() copy and
-    # a reordered copy carry no mark and none of the values gen_lattice
-    # writes: each takes a KD query for its packing radius, and the search
-    # gives the lattice's radii on each
+    # the proved covering radius is what gen_lattice passes, not meta or
+    # the rows: Z^2 in R = 20 with the site (-10, 0) deleted, its meta
+    # copied, has a hole that the full search finds; an exact copy and a
+    # reordered copy carry none of the values gen_lattice passes: each
+    # takes a KD query for its packing radius, and the search gives the
+    # lattice's radii on each
     ps = cs.gen_lattice(2, 20.0)
     gone = (ps.points == [-10.0, 0.0]).all(axis=1)
     holed = cs.PointSet(dim=2, points=ps.points[~gone], region_radius=20.0,
                      meta=dict(ps.meta))
-    assert pointsets._structural_r_cover(holed) == math.inf
+    assert holed._r_cover is None
     radii = cs.measure_radii(holed, 2.0)
     sites = np.concatenate([holed.points, np.zeros((1, 2))], axis=0)
     full = pointsets._covering_bnb(sites, 2, 18.0, pointsets._RESOLUTION[2])
     assert (radii.r_cover, radii.probe_resolution) == full
     assert radii.r_cover > 0.96 > math.sqrt(2) / 2
     copy = cs.PointSet(dim=2, points=ps.points.copy(), region_radius=20.0)
-    replaced = dataclasses.replace(ps)
     shuffled = cs.PointSet(dim=2, points=ps.points[::-1], region_radius=20.0,
                         meta=dict(ps.meta))
-    assert pointsets._structural_r_cover(ps) == math.sqrt(2) / 2
-    for other in (copy, replaced, shuffled):
+    assert ps._r_cover == math.sqrt(2) / 2
+    for other in (copy, shuffled):
         with monkeypatch.context() as m:
             m.setattr(pointsets, "_nearest", _kd_must_not_run)
             with pytest.raises(AssertionError, match="KD query"):
                 other._r_pack_measured
-        assert pointsets._structural_r_cover(other) == math.inf
+        assert other._r_cover is None
         for margin in (0.0, 2.0):
             assert cs.measure_radii(other, margin) == cs.measure_radii(ps, margin)
 
