@@ -38,13 +38,14 @@ they prove it, else the smaller of the measured and the structural packing
 radius; the one rule, shared with the annulus checks) for upper bounds and
 ``r_cover + probe_resolution`` for lower bounds.
 
-Every finite sum is the exact sum of its terms, rounded once: its error
-is at most half an ulp, and it does not depend on the order of the terms.
-Per-site terms go to ``_fsum(x)``, which is ``math.fsum``.  A tail sum
-passes each radial shell once, with its site count, to
-``_exact_counted(x, counts)``, the exact sum of ``counts[i]`` copies of
-each ``x[i]``; its exactness chain (R. M. Neal, "Fast exact summation
-using small and large superaccumulators", arXiv:1505.05571):
+Every exact sum in the package goes through one routine,
+``_exact_sum(x, counts=None)``: the exact sum of ``counts[i]`` copies of
+each ``x[i]`` (every count 1 when ``counts`` is None), unrounded.  Rounded
+once, it is the correctly rounded sum: its error is at most half an ulp,
+and it does not depend on the order of the terms.  A tail sum passes each
+radial shell once, with its site count; ``basis`` passes its per-cell
+terms.  The exactness chain (R. M. Neal, "Fast exact summation using small
+and large superaccumulators", arXiv:1505.05571):
 
 1. each term is m * 2^(e - 53) (``np.frexp``) with m an integer,
    |m| < 2^53, split into halves m = hi * 2^26 + lo with |hi| < 2^27,
@@ -57,19 +58,24 @@ using small and large superaccumulators", arXiv:1505.05571):
    Python ``int``, are the exact total, returned as a ``Fraction``;
    ``float`` of it (``int / int``) rounds it once, correctly.
 
-An exact zero from ``_fsum`` is -0.0 only when every term is -0.0, and
-+0.0 otherwise, an empty sum included.  ``delone_tail_sum`` keeps the
-exact window sum S and rounds its interval outward: with tail the float
-tail bound, [value - err, value + err], evaluated in floats, contains
-[S, S + tail] exactly, and err is the least float >= tail/2 that does so.
-``seq_sum_integral_check`` builds its interval the same way: its head
-through ``_exact_counted`` (each count 1), its bracket in rationals, its
-err through ``_outward_err``.
+``delone_tail_sum`` keeps the exact window sum S and rounds its interval
+outward: with tail the float tail bound, [value - err, value + err],
+evaluated in floats, contains [S, S + tail] exactly, and err is the least
+float >= tail/2 that does so.  ``seq_sum_integral_check`` builds its
+interval the same way: its head through ``_exact_sum``, its bracket in
+rationals, its err through ``_outward_err``.
 
 Both refuse, naming alpha, any term or bound that is not a finite float
 >= 2^-1022 (``_check_normal``): below the normal range a term loses its
 relative precision or reads 0, and the interval could miss the sum.
 ``integral_tail`` refuses an integral that overflows.
+
+The rounding model is written here once, for every module: the unit
+roundoff u = ``_EPS`` = 2^-53, and Higham's gamma_n = ``_gamma(n)`` =
+n u / (1 - n u), which bounds |theta| in prod_{i <= n} (1 + delta_i)^(+-1)
+= 1 + theta for |delta_i| <= u: the relative error that n roundings leave
+on a computed term (N. J. Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, Lemma 3.1).
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ __all__ = [
 _HALF = 26  # bits in the low half of a 53-bit mantissa
 _MAX_SITES = 1 << _HALF  # keeps every exponent bin below 2^53: exact
 _NORMAL_MIN = sys.float_info.min  # 2^-1022, the least normal float
+_EPS = 2.0 ** -53  # unit roundoff u
 
 
 @dataclass(frozen=True)
@@ -175,11 +182,16 @@ def integral_tail(alpha: float, d: int, r: float) -> float:
 
 
 def _pow(x: float, y: float) -> float:
-    """x ** y for floats, inf where it overflows."""
+    """x ** y for floats, inf where it overflows or raises 0 to y < 0."""
     try:
         return x ** y
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), elementwise on an array n."""
+    return n * _EPS / (1.0 - n * _EPS)
 
 
 def _check_normal(alpha: float, *values: float) -> None:
@@ -194,44 +206,28 @@ def _check_normal(alpha: float, *values: float) -> None:
                          f"overflows")
 
 
-def _fsum(x: np.ndarray) -> float:
-    """``math.fsum`` of the terms: their exact sum, rounded once.
-
-    The sign of an exact zero is in the module docstring.  Refuses
-    non-finite terms.
-    """
-    x = _finite_terms(x)
-    total = math.fsum(x.tolist())
-    if total == 0.0:
-        return -0.0 if x.size and np.signbit(x).all() else 0.0
-    return total
-
-
-def _finite_terms(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("cannot sum non-finite terms")
-    return x
-
-
-def _exact_counted(x: np.ndarray, counts: np.ndarray) -> Fraction:
+def _exact_sum(x: np.ndarray, counts: np.ndarray | None = None) -> Fraction:
     """The exact sum of ``counts[i]`` copies of each ``x[i]``, unrounded.
 
     Steps 1-3 of the module docstring's chain: half mantissas times site
     counts, binned per binary exponent and shifted into one ``int``.
     ``counts`` are non-negative integers totalling at most 2^26 sites;
-    temporaries are sized by ``x``.  Refuses non-finite terms and
-    out-of-range counts.
+    None means one copy of each term.  Temporaries are sized by ``x``.
+    Refuses non-finite terms and out-of-range counts.
     """
-    x = _finite_terms(x)
-    counts = np.asarray(counts)
-    if not np.issubdtype(counts.dtype, np.integer):
-        raise ValueError("site counts must be integers")
+    x = np.asarray(x, dtype=np.float64)
+    if counts is not None:
+        counts = np.asarray(counts)
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError("site counts must be integers")
     # the max is checked first, so the sum cannot wrap
-    if counts.size and (counts.min() < 0 or counts.max() > _MAX_SITES
-                        or counts.sum() > _MAX_SITES):
+    if (x.size > _MAX_SITES if counts is None else counts.size and (
+            counts.min() < 0 or counts.max() > _MAX_SITES
+            or counts.sum() > _MAX_SITES)):
         raise ValueError(f"site counts must be >= 0 and total at most "
                          f"2^{_HALF}")
+    if not np.isfinite(x).all():
+        raise ValueError("cannot sum non-finite terms")
     if not x.size:
         return Fraction(0)
     m, e = np.frexp(x)
@@ -242,8 +238,9 @@ def _exact_counted(x: np.ndarray, counts: np.ndarray) -> Fraction:
     hi = np.trunc(m)
     m -= hi
     m *= 2.0 ** _HALF
-    m *= counts
-    hi *= counts
+    if counts is not None:
+        m *= counts
+        hi *= counts
     bins = np.zeros(width + _HALF, dtype=np.int64)
     bins[:width] = np.bincount(e, weights=m, minlength=width)
     bins[_HALF:] += np.bincount(e, weights=hi, minlength=width).astype(np.int64)
@@ -302,18 +299,44 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     rp = ps._r_pack_certified
     rho, cnt = ps.shells(r)
     terms = rho ** (-alpha)
-    exact = _exact_counted(terms, cnt)
+    exact = _exact_sum(terms, cnt)
     finite = float(exact)  # the terms are >= 0: no -0.0 to keep
     tail_cut = ps.region_radius - rp
     if tail_cut <= 0.0:
         raise ValueError("region too small for the packing radius")
-    tail = (3.0 ** d) * d / rp ** d * integral_tail(alpha, d, tail_cut)
+    tail = _packing_tail(d, rp, alpha, tail_cut)
     # rho ascends, so the last window term is the smallest
     _check_normal(alpha, tail, *terms[-1:])
     # centre the interval on finite + tail/2 so err is half the bracket
     value = finite + 0.5 * tail
     return CertifiedValue(value=value, err=_outward_err(
         value, 0.5 * tail, exact, exact + Fraction(tail)))
+
+
+def _packing_tail(d: int, rp: float, alpha: float, x: float) -> float:
+    """The packing-side bound 3^d d / rp^d * T(alpha, d, x).
+
+    It bounds the sum of |p|^(-alpha) over the sites with |p| >= x + rp of
+    a set whose packing radius is at least rp: the tail beyond the window
+    in ``delone_tail_sum`` (x = R_max - rp) and the upper side of
+    ``sandwich_check`` (x = r - rp).
+    """
+    return (3.0 ** d) * d / rp ** d * integral_tail(alpha, d, x)
+
+
+def _required_r_max(ps: PointSet, alpha: float, target_tail: float) -> float:
+    """Window radius making the tail certificate of S(r) <= target_tail.
+
+    Inverts ``_packing_tail`` at the same exponent and the set's packing
+    radius, so the suggested radius meets the bound that refused.  inf
+    where the radius overflows the float range: no finite window meets
+    the target.
+    """
+    d = ps.dim
+    rp = ps._r_pack_certified
+    # invert tail(R) = 3^d d / rp^d * T(alpha, d, R - rp) = target
+    t_int = target_tail * rp ** d / ((3.0 ** d) * d)
+    return rp + _pow((alpha - d) * t_int, 1.0 / (d - alpha))
 
 
 def _outward_err(value: float, err: float, lo: Fraction, hi: Fraction) -> float:
@@ -348,19 +371,6 @@ def _rounded(q: Fraction, toward: float) -> float:
     return f
 
 
-def _required_r_max(ps: PointSet, alpha: float, target_tail: float) -> float:
-    """Window radius making the tail certificate of S(r) <= target_tail.
-
-    Inverts the tail bound of ``delone_tail_sum`` at the same exponent and
-    packing radius, so the suggested radius meets the bound that refused.
-    """
-    d = ps.dim
-    rp = ps._r_pack_certified
-    # invert tail(R) = 3^d d / rp^d * T(alpha, d, R - rp) = target
-    t_int = target_tail * rp ** d / ((3.0 ** d) * d)
-    return rp + ((alpha - d) * t_int) ** (1.0 / (d - alpha))
-
-
 def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float,
                    r: float) -> SandwichResult:
     """Check the two-sided tail sandwich at radius r (requires r >= 3 r_cover).
@@ -378,7 +388,7 @@ def sandwich_check(ps: PointSet, radii: DeloneRadii, alpha: float,
         raise ValueError("sandwich requires r >= 3 * r_cover")
     s = delone_tail_sum(ps, None, alpha, r)
     lower = d / ((3.0 ** d) * rc ** d) * integral_tail(alpha, d, r + rc)
-    upper = (3.0 ** d) * d / rp ** d * integral_tail(alpha, d, r - rp)
+    upper = _packing_tail(d, rp, alpha, r - rp)
     holds = (lower <= s.hi) and (s.lo <= upper)
     return SandwichResult(r=float(r), lower=lower, upper=upper,
                           finite_sum=s.value, tail_err=s.err, holds=holds)
@@ -402,10 +412,10 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
     its remainder certified by the *same* identity applied at N + 1, so
     the residual uncertainty is a factor ~2^(alpha+1) below the claimed
     correction bound at every alpha > 1.  As in ``delone_tail_sum``, the
-    head is the exact sum of its float terms (``_exact_counted``, each
-    count 1), the bracket [head + rem_int - rem_corr, head + rem_int] is
-    formed in rationals, and err is rounded outward (``_outward_err``) so
-    that both float endpoints hold it.  M is capped at 2^25, which keeps
+    head is the exact sum of its float terms (``_exact_sum``), the
+    bracket [head + rem_int - rem_corr, head + rem_int] is formed in
+    rationals, and err is rounded outward (``_outward_err``) so that both
+    float endpoints hold it.  M is capped at 2^25, which keeps
     the head's M + 1 terms inside the exact-sum range of 2^26 and its
     arrays near 256 MiB; each term and bound must be a normal float
     (``_check_normal``).  ``holds`` records certified containment:
@@ -431,7 +441,7 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
     rem_int = (N + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
     rem_corr = alpha * (N - 0.5) ** (-alpha - 1.0) / 24.0
     _check_normal(alpha, terms[-1], corr, rem_corr)
-    head = _exact_counted(terms, np.ones(n.size, dtype=np.int64))
+    head = _exact_sum(terms)
     hi = head + Fraction(rem_int)
     lo = hi - Fraction(rem_corr)
     value = float((lo + hi) / 2)
@@ -467,6 +477,6 @@ def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float,
     e = alpha - ps.dim
     scale = r ** e
     lo, hi = scale * res.lower, scale * res.upper
-    pad = (16.0 + 2.0 * e) * 2.0 ** -53 * hi
+    pad = (16.0 + 2.0 * e) * _EPS * hi
     window = CertifiedValue(value=0.5 * (lo + hi), err=0.5 * (hi - lo) + pad)
     return scale * res.finite_sum, window

@@ -67,6 +67,12 @@ __all__ = [
 ]
 
 _DIMS = (1, 2, 3)
+# probes per KD query of the fill sweep, and per d = 1 chunk of
+# _probe_lattice: a batch bounds the probes, distances and indices held at
+# once, so the sweep does not set the generator's peak memory, and is
+# large enough that few queries pay for starting the KD tree's threads,
+# which every query does (a query per d = 2 slab took 4x the time)
+_PROBE_BATCH = 1 << 18
 
 
 def _nearest(points: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
@@ -425,19 +431,23 @@ def _probe_lattice(d: int, R_max: float, r_min: float, spacing: float):
     The coordinates are computed as k * spacing from integer k, so any two
     callers with the same parameters enumerate bit-identical floats; the
     fill sweep and ``insertable_probes`` rely on that to agree exactly.
-    Chunks arrive in lexicographic k order.  With r_min = spacing = 1 this
-    is Z^d \\ {0} inside the ball, in lexicographic order: integer norms are
-    exact, so |z| >= 1 means z != 0; both lattice generators take it so.
+    Chunks arrive in lexicographic k order: one per first coordinate in
+    d >= 2, and runs of at most _PROBE_BATCH values of k in d = 1.  With
+    r_min = spacing = 1 this is Z^d \\ {0} inside the ball, in lexicographic
+    order: integer norms are exact, so |z| >= 1 means z != 0; both lattice
+    generators take it so.
     """
     k_hi = int(math.floor(R_max / spacing))
-    ks = np.arange(-k_hi, k_hi + 1, dtype=np.int64)
-    xs = ks.astype(np.float64) * spacing
     r2 = r_min * r_min
     if d == 1:
-        block = xs[:, None]
-        n2 = (block ** 2).sum(axis=1)
-        yield block[(n2 >= r2) & (n2 <= R_max * R_max)]
+        for k0 in range(-k_hi, k_hi + 1, _PROBE_BATCH):
+            ks = np.arange(k0, min(k0 + _PROBE_BATCH, k_hi + 1), dtype=np.int64)
+            block = (ks.astype(np.float64) * spacing)[:, None]
+            n2 = (block ** 2).sum(axis=1)
+            yield block[(n2 >= r2) & (n2 <= R_max * R_max)]
         return
+    ks = np.arange(-k_hi, k_hi + 1, dtype=np.int64)
+    xs = ks.astype(np.float64) * spacing
     tail = _cartesian(xs, d - 1)
     tail2 = (tail ** 2).sum(axis=1)
     for x0 in xs:
@@ -523,6 +533,21 @@ _MAX_GRID_CELLS = 1 << 22
 _FILL_DIVISOR = {1: 10.0, 2: 10.0, 3: 4.0}
 
 
+def _batches(blocks, size: int):
+    """Consecutive row blocks joined into batches of at least ``size`` rows,
+    in order; the last batch holds the rest, and is yielded even when it
+    has no rows, so any blocks make at least one batch."""
+    held, rows = [], 0
+    for block in blocks:
+        held.append(block)
+        rows += block.shape[0]
+        if rows >= size:
+            yield np.concatenate(held)
+            held, rows = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
 def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     """Maximal hard-core sample of the annulus r_min <= |p| <= R_max.
 
@@ -544,8 +569,9 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
 
     A final fill sweep probes every budget-dead cell with the absolute
     lattice {k * fill_spacing : k integer}^d (spacing r_min/10 for d <= 2
-    and r_min/4 for d = 3).  One KD query against the dart sample only
-    thins the probes to those at distance >= r_min.  Each round then drops
+    and r_min/4 for d = 3).  KD queries against the dart sample, in
+    batches of at least _PROBE_BATCH = 2^18 dead-cell probes, only thin
+    the probes to those at distance >= r_min.  Each round then drops
     every survivor that ``_exclude`` rejects, its own cell included, and
     accepts the first survivor of each cell, phase by phase.  The first
     nonempty phase reads the grid as the drop left it, so it accepts every
@@ -563,8 +589,10 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     r_min/2 covers the bath together with the origin site.
 
     A padded grid of more than _MAX_GRID_CELLS = 2^22 cells is refused
-    before any grid is allocated.  Peak RSS is about 1 kB a cell in d = 2
-    (4.2 GB at the cap), 0.63 kB in d = 1 and 0.25 kB in d = 3.
+    before any grid is allocated.  Peak RSS, the interpreter and its
+    imports included, is about 0.13-0.16 kB a cell in d = 2 (541 MB for
+    R_max = 720, r_min = 1: 4.17M cells, just under the cap), 0.15 kB in
+    d = 1 and 0.11 kB in d = 3.
     """
     _check_dim(d)
     if not 0 < r_min <= R_max < math.inf:
@@ -644,13 +672,15 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
 
     # Fill sweep: scan budget-dead cells with absolute-lattice probes.
     if (dead_phase >= 0).any():
-        probes = np.concatenate([
-            block[dead_phase[flat_of(np.floor((block - lo) / cell)
-                                     .astype(np.int64))] >= 0]
-            for block in _probe_lattice(d, R_max, r_min, fill_spacing)])
-        # the one KD query only thins the probes; the grid judges them below
-        pdist, _ = _nearest(buf[:n_pts])(probes)
-        surv = probes[pdist >= r_min]  # lexicographic, as the lattice yields
+        probes = (block[dead_phase[flat_of(np.floor((block - lo) / cell)
+                                           .astype(np.int64))] >= 0]
+                  for block in _probe_lattice(d, R_max, r_min, fill_spacing))
+        # KD queries only thin the probes; the grid judges them below.  A
+        # probe's distance does not depend on its batch.
+        query = _nearest(buf[:n_pts])
+        surv = np.concatenate([  # lexicographic, as the lattice yields
+            batch[query(batch)[0] >= r_min]
+            for batch in _batches(probes, _PROBE_BATCH)])
         sflat = flat_of(np.floor((surv - lo) / cell).astype(np.int64))
         while True:
             sphase = dead_phase[sflat]  # every survivor lies in a dead cell

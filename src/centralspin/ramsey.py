@@ -74,7 +74,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import CertifiedValue, _required_r_max, delone_tail_sum
+from .bounds import (CertifiedValue, _gamma, _pow, _required_r_max,
+                     delone_tail_sum)
 from .pointsets import DeloneRadii, PointSet
 
 __all__ = [
@@ -100,7 +101,6 @@ _LOGCOS = np.array([1 / 2, 1 / 12, 1 / 45, 17 / 2520, 31 / 14175,
                     691 / 935550, 10922 / 42567525, 929569 / 10216206000,
                     3202291 / 97692469875])
 _REMAINDER_FACTOR = 1.0 / (1.0 - 4.0 * _X0 * _X0 / math.pi ** 2)
-_EPS = 2.0 ** -53  # unit roundoff
 # cap on the window exponent t^2 s before expm1: expm1(2) > 2, so the
 # clamped err is unchanged and expm1 cannot overflow
 _W_CAP = 2.0
@@ -190,8 +190,7 @@ def _far_series(u: np.ndarray, counts: np.ndarray, at: np.ndarray,
     for _ in range(_K):
         s_top = s_top * s
     r_bar = _LOGCOS[_K] * moments[_K] * _REMAINDER_FACTOR * s_top
-    n = u.size + 8 * _K + 16
-    gamma = n * _EPS / (1.0 - n * _EPS)
+    gamma = _gamma(u.size + 8 * _K + 16)
     return f, r_bar + np.expm1(2.0 * gamma * (f + r_bar))
 
 
@@ -229,6 +228,13 @@ def _check_profile_args(d: int, alpha: float, tol: float) -> None:
         raise ValueError("tol must be > 0")
 
 
+def _window_need(relation: str, need: float) -> str:
+    """The window radius a refusal asks for; inf means no finite window."""
+    if need < math.inf:
+        return f"need region_radius {relation} {need:.6g}"
+    return "no finite region_radius meets it"
+
+
 def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
                      r: float, times: np.ndarray, tol: float) -> RamseyProfile:
     """Evaluate C_r on a time grid with certified error.
@@ -241,7 +247,8 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     rounding, clamped to [0, 2]; the module docstring states the chain and
     what it leaves out.  The window term needs every dropped argument < 1 at
     max |t| (enforced).  Raises if the window certificate at max |t| exceeds
-    ``tol``, reporting the window radius that would achieve it.
+    ``tol``, or if a dropped argument reaches 1, reporting the window
+    radius that would achieve it, or that no finite one does.
 
     ``radii`` is accepted and not read, as in ``delone_tail_sum``: the tail
     sums take the set's own packing radius.  Callers in this package pass
@@ -258,10 +265,10 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
 
     # certificate validity: the largest dropped argument must stay below 1
     if t_max * lam * ps.region_radius ** (-alpha) >= 1.0:
-        need = (t_max * lam) ** (1.0 / alpha)
+        need = _pow(t_max * lam, 1.0 / alpha)
         raise ValueError(
             f"dropped cosine arguments reach 1 at t={t_max:g}; "
-            f"need region_radius > {need:.6g}")
+            f"{_window_need('>', need)}")
     s_tail = 2.0 * s2.err / s2.value  # bound on the dropped normalized square sum
     err_at_max = min(2.0, math.expm1(min(t_max * t_max * s_tail, _W_CAP)))
     if err_at_max > tol:
@@ -269,7 +276,7 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
         need = _required_r_max(ps, 2 * alpha, tail_target)
         raise ValueError(
             f"truncation certificate {err_at_max:.3g} exceeds tol={tol:g} "
-            f"at t={t_max:g}; need region_radius >= {need:.6g}")
+            f"at t={t_max:g}; {_window_need('>=', need)}")
 
     u_radii, counts = ps.shells(r)
     u = u_radii ** (-alpha) * lam
@@ -292,11 +299,16 @@ def compact_bound_check(profile: RamseyProfile) -> GaussianDiag:
 
     The right-hand side uses the worst certified corner (s4.value + s4.err)
     / (s2.value - s2.err)^2, so a pass means the Gaussian-comparison bound
-    is consistent with every value the certificates allow.
+    is consistent with every value the certificates allow.  Refuses a
+    profile whose S2 interval reaches 0: S4/S2^2 then has no finite bound.
     """
+    s2_lo = profile.s2.value - profile.s2.err
+    if not s2_lo > 0.0:
+        raise ValueError(f"S2's certified lower end {s2_lo:.6g} is not > 0: "
+                         f"S4/S2^2 has no finite bound")
     t = profile.times
     lhs = np.abs(profile.values - profile.gaussian)
-    ratio = (profile.s4.value + profile.s4.err) / (profile.s2.value - profile.s2.err) ** 2
+    ratio = (profile.s4.value + profile.s4.err) / s2_lo ** 2
     rhs = t ** 4 / 12.0 * ratio
     ok = bool(np.all(lhs <= rhs + profile.err))
     return GaussianDiag(bound_rhs=rhs, envelope_ok=ok)

@@ -71,6 +71,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import counter_uniform_open
+from .bounds import _EPS, _gamma
 
 __all__ = [
     "L_ORACLE",
@@ -89,7 +90,6 @@ __all__ = [
 L_ORACLE = 0.46627457895504917055732477549818
 # truncation tolerance and float slack of the identity checks
 _TOL = 1e-12
-_EPS = 2.0 ** -53  # unit roundoff
 # factors per block of product rows, as in ramsey
 _BLOCK = 1 << 18
 # binary digits of each sample that char_function_check maps through D
@@ -135,7 +135,7 @@ def _product(base: int, t, depth: int,
         value[i:i + rows] = np.multiply.reduce(factors, axis=1)
         n[i:i + rows] = np.count_nonzero(factors != 1.0, axis=1)
     s = (4.0 * _EPS * np.abs(flat) / (base - 1.0)
-         + n * _EPS / (1.0 - n * _EPS) * np.abs(value))
+         + _gamma(n) * np.abs(value))
     grow = np.array([math.expm1(x) for x in tail.tolist()])
     err = np.minimum(2.0, s + (np.abs(value) + s) * grow)
     return value.reshape(t.shape), err.reshape(t.shape)

@@ -1,6 +1,7 @@
 """Digit-sign orthonormal system: exact inner products, Fourier data, sums."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -182,3 +183,30 @@ def test_cauchy_rejects_bad_ranges():
         cs.l2_cauchy_check([1.0] * 21, 0, 21)  # one level past the cap
     with pytest.raises(ValueError, match="coupling prefix shorter than M"):
         cs.l2_cauchy_check([1.0, 0.5], 0, 3)  # A_3 is missing
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cs.theta_eval(0, 0.5), "n must be a positive integer"),
+    (lambda: cs.theta_eval(1.0, 0.5), "n must be a positive integer"),
+    (lambda: cs.theta_eval(1, 1.5), "x must lie in [-1, 1]"),
+    (lambda: cs.theta_eval(1, -1.25), "x must lie in [-1, 1]"),
+    (lambda: cs.fourier_coeff(1, 10 ** 6 + 1), "need integer |m| <= 10^6"),
+    (lambda: cs.fourier_coeff(1, -10 ** 6 - 1), "need integer |m| <= 10^6"),
+    (lambda: cs.fourier_coeff(1, 2.0), "need integer |m| <= 10^6"),
+    (lambda: cs.t_fourier_action_check(0, 3), "need integer 1 <= k <= 19"),
+    (lambda: cs.t_fourier_action_check(20, 3), "need integer 1 <= k <= 19"),
+    (lambda: cs.partial_sum_x(-1), "need 0 <= N <= 22"),
+    (lambda: cs.partial_sum_x(23), "need 0 <= N <= 22"),
+], ids=["theta-n-0", "theta-n-float", "theta-x-above", "theta-x-below",
+        "fourier-m-above", "fourier-m-below", "fourier-m-float", "action-k-0",
+        "action-k-20", "partial-N-negative", "partial-N-23"])
+def test_basis_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 52, 60])
+def test_theta_at_one_is_the_all_ones_digit(n):
+    # x = 1 takes the all-ones expansion of (x + 1)/2 = 1: every digit is 1
+    assert cs.theta_eval(n, 1.0) == 1
+    assert cs.theta_eval(n, Fraction(1)) == 1

@@ -26,6 +26,18 @@ def test_certified_value_rejects_negative_err():
         cs.CertifiedValue(value=0.0, err=-1e-9)
 
 
+@pytest.mark.parametrize("value, err, message", [
+    (math.inf, 0.0, "certified value must be finite"),
+    (-math.inf, 1.0, "certified value must be finite"),
+    (math.nan, 0.0, "certified value must be finite"),
+    (0.0, math.inf, "certified error must be finite and >= 0"),
+    (0.0, math.nan, "certified error must be finite and >= 0"),
+])
+def test_certified_value_refusals_name_their_reason(value, err, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cs.CertifiedValue(value=value, err=err)
+
+
 # ------------------------------------------------------------- integral_tail
 
 def test_integral_tail_literals():
@@ -110,10 +122,10 @@ def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def _counted(x, counts):
-    """The counted sum rounded once, as ``delone_tail_sum`` rounds it.  A
-    Fraction has no -0.0, so an exact zero compares equal to either sign."""
-    return float(bounds._exact_counted(x, counts))
+def _counted(x, counts=None):
+    """The exact sum rounded once, as ``delone_tail_sum`` and ``basis``
+    round it.  A Fraction has no -0.0, so an exact zero reads +0.0."""
+    return float(bounds._exact_sum(x, counts))
 
 
 def test_counted_sum_is_the_exact_sum_rounded_once():
@@ -148,7 +160,8 @@ def test_counted_sum_is_the_exact_sum_rounded_once():
     # one hand-built shell of 9000 sites, between two others
     x3, c3 = np.array([0.1, 1.0 / 3.0, 0.7]), np.array([5, 9000, 3])
     assert _same_float(_counted(x3, c3), _exact_sum(x3, c3))
-    # signed, zero and subnormal terms, as the basis callers pass them
+    # signed, zero and subnormal terms, as the basis callers pass them; no
+    # basis input is all -0.0, so the sign of an exact zero is not kept
     tiny = 5e-324 * rng.integers(-1000, 1000, 9000)
     signed = rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000)
     signed[::7] = 0.0
@@ -156,21 +169,22 @@ def test_counted_sum_is_the_exact_sum_rounded_once():
     for xs in (tiny, signed, -signed, np.full(5000, -0.0), np.zeros(3),
                np.sign(rng.standard_normal(8193)), np.array([1.0, -1.0]),
                np.array([]), np.concatenate([np.full(4096, -0.0), [1.5]])):
-        assert _same_float(bounds._fsum(xs), _exact_sum(xs))
+        assert _counted(xs) == _exact_sum(xs)
+        ones = np.ones(xs.size, dtype=np.int64)
+        assert _same_float(_counted(xs), _counted(xs, ones))
+        assert _same_float(_counted(xs), math.fsum(xs.tolist()) + 0.0)
         counts = rng.integers(0, 3, xs.size)
         assert _counted(xs, counts) == _exact_sum(xs, counts)
-    assert _same_float(bounds._fsum(np.full(5000, -0.0)), -0.0)
     # alternating signs over 2^14 terms, as fourier_coeff(14, 0) sums them:
-    # an exact zero, and +0.0 because not every term is -0.0
+    # an exact zero, +0.0
     alt = np.tile([-1.0, 1.0], 1 << 13)
-    assert _same_float(bounds._fsum(alt), 0.0)
-    for c in (np.ones(alt.size, dtype=np.int64), np.full(alt.size, 3)):
+    for c in (None, np.ones(alt.size, dtype=np.int64), np.full(alt.size, 3)):
         assert _same_float(_counted(alt, c), 0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        bounds._exact_counted(np.array([1.0, math.inf, 2.0]), np.array([1, 1, 1]))
+        bounds._exact_sum(np.array([1.0, math.inf, 2.0]), np.array([1, 1, 1]))
     for bad in ([1.0, math.inf], [math.nan, 2.0], [math.inf, -math.inf]):
-        with pytest.raises(ValueError):
-            bounds._fsum(np.array(bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            bounds._exact_sum(np.array(bad))
 
 
 _finite = st.floats(-1e300, 1e300, allow_nan=False)
@@ -181,7 +195,8 @@ def test_counted_sum_matches_the_exact_oracle_on_random_terms(terms):
     x = np.array([v for v, _ in terms], dtype=np.float64)
     c = np.array([k for _, k in terms], dtype=np.int64)
     assert _counted(x, c) == _exact_sum(x, c)
-    assert _same_float(bounds._fsum(x), _exact_sum(x))
+    # every count 1: the correctly rounded sum that math.fsum returns
+    assert _same_float(_counted(x), math.fsum(x.tolist()) + 0.0)
 
 
 def test_counted_sum_refuses_counts_beyond_the_exact_range():
@@ -194,9 +209,12 @@ def test_counted_sum_refuses_counts_beyond_the_exact_range():
     for bad in (np.array([(1 << 26) + 1]), np.array([1 << 25, (1 << 25) + 1]),
                 np.array([-1]), np.array([2, -1])):
         with pytest.raises(ValueError, match="2\\^26"):
-            bounds._exact_counted(np.resize(x, bad.size), bad)
+            bounds._exact_sum(np.resize(x, bad.size), bad)
     with pytest.raises(ValueError, match="integers"):
-        bounds._exact_counted(x, np.array([1.5]))
+        bounds._exact_sum(x, np.array([1.5]))
+    # with every count 1, the cap is on the number of terms
+    with pytest.raises(ValueError, match="2\\^26"):
+        bounds._exact_sum(np.broadcast_to(x, ((1 << 26) + 1,)))
 
 
 def test_tail_sum_matches_a_fresh_sort_at_every_cut():

@@ -263,14 +263,44 @@ def test_bad_flags_are_refused_before_the_set_is_built(argv, message, tmp_path,
     (["ramsey", "--dim", "1", "--rmax", "1.2", "--alpha", "1000", "--r", "1",
       "--tmax", "1", "--dt", "0.5"],
      "tail integral at alpha = 2000.0 overflows the float range"),
-], ids=["bounds-alpha-800", "ramsey-alpha-200", "ramsey-alpha-1000"])
+    (["ramsey", "--dim", "1", "--alpha", "0.505", "--rmax", "1000", "--tol",
+      "1e-6"],
+     "truncation certificate 2 exceeds tol=1e-06 at t=8; "
+     "no finite region_radius meets it"),
+    (["ramsey", "--dim", "1", "--alpha", "0.6", "--tol", "1e-300", "--rmax",
+      "100"],
+     "truncation certificate 2 exceeds tol=1e-300 at t=8; "
+     "no finite region_radius meets it"),
+    (["ramsey", "--dim", "1", "--alpha", "0.6", "--tol", "5e-324", "--rmax",
+      "100"],
+     "truncation certificate 2 exceeds tol=4.94066e-324 at t=8; "
+     "no finite region_radius meets it"),
+    (["ramsey", "--dim", "1", "--alpha", "0.6", "--tmax", "1e300", "--dt",
+      "1e299", "--rmax", "100"],
+     "dropped cosine arguments reach 1 at t=1e+300; "
+     "no finite region_radius meets it"),
+], ids=["bounds-alpha-800", "ramsey-alpha-200", "ramsey-alpha-1000",
+        "ramsey-window-need-overflows", "ramsey-tol-1e-300",
+        "ramsey-tol-target-underflows", "ramsey-tmax-1e300"])
 def test_tail_sums_outside_the_float_range_exit_two(argv, message, tmp_path,
                                                     monkeypatch, capsys):
     # the tail sum, or the S2 normalisation at 2 alpha, underflows or
-    # overflows: a refusal, not a zero sum or a crash
+    # overflows, or the window radius a refusal asks for overflows: a
+    # refusal, not a zero sum or a crash
     monkeypatch.chdir(tmp_path)
     assert cli.run(argv + ["--out", "x.csv"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not os.listdir(tmp_path)
+
+
+def test_an_s2_interval_reaching_zero_exits_two(tmp_path):
+    # no site of the Poisson window lies at |p| >= r = 10, so S2's certified
+    # lower end is 0: the compact bound is refused, not a ZeroDivisionError
+    res = run_cli("ramsey", "--dim", "2", "--set", "poisson", "--rmax", "10",
+                  "--tol", "2", "--out", "r.csv", cwd=tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == ("error: S2's certified lower end 0 is not > 0: "
+                          "S4/S2^2 has no finite bound\n")
     assert not os.listdir(tmp_path)
 
 

@@ -360,6 +360,36 @@ def test_insertable_probes_refuses_a_set_without_its_fill_spacing():
         cs.insertable_probes(bare)
 
 
+def _line(meta=None):
+    return cs.PointSet(1, [[1.0], [-2.0]], 5.0, meta)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cs.gen_lattice(4, 3.0), "dimension must be one of (1, 2, 3), got 4"),
+    (lambda: cs.PointSet(0, np.zeros((0, 0)), 1.0),
+     "dimension must be one of (1, 2, 3), got 0"),
+    (lambda: cs.PointSet(2, np.ones((3, 3)), 5.0),
+     "points must have shape (n, 2), got (3, 3)"),
+    (lambda: cs.PointSet(2, np.ones(4), 5.0),
+     "points must have shape (n, 2), got (4,)"),
+    (lambda: cs.PointSet(2, [[1.0, math.nan]], 5.0), "points must be finite"),
+    (lambda: cs.PointSet(1, [[-math.inf]], 5.0), "points must be finite"),
+    (lambda: cs.insertable_probes(_line({"r_min": 1.0, "fill_spacing": 2.0})),
+     "need 0 < fill_spacing <= r_min"),
+    (lambda: cs.insertable_probes(_line({"r_min": 1.0, "fill_spacing": 0.0})),
+     "need 0 < fill_spacing <= r_min"),
+    (lambda: cs.count_annulus(_line(), 2.0, 1.0), "need 0 <= a < b"),
+    (lambda: cs.count_annulus(_line(), -1.0, 1.0), "need 0 <= a < b"),
+    (lambda: cs.count_annulus(_line(), 1.0, 6.0),
+     "b exceeds region_radius: the set is incomplete there"),
+], ids=["gen-dim-4", "set-dim-0", "set-shape", "set-flat", "set-nan",
+        "set-inf", "probes-spacing-above-r_min", "probes-spacing-0",
+        "annulus-reversed", "annulus-negative", "annulus-past-region"])
+def test_pointsets_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # ------------------------------------------------------- PointSet container
 
 def test_point_set_rejects_origin_duplicates_and_outliers():

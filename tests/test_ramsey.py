@@ -15,13 +15,13 @@ from centralspin import ramsey
 from conftest import mirrored_times
 
 
-def synthetic_profile(times, values, err=None, dim=2, alpha=1.0):
+def synthetic_profile(times, values, err=None, dim=2, alpha=1.0, s2=(1.0, 0.0)):
     """A hand-built profile (d/alpha = 2 by default: Gaussian-type decay)."""
     if err is None:
-        err = np.zeros_like(values)
+        err = np.zeros_like(values, dtype=float)
     return cs.RamseyProfile(
         r=1.0, times=np.asarray(times, float), values=np.asarray(values, float),
-        err=np.asarray(err, float), s2=cs.CertifiedValue(1.0, 0.0),
+        err=np.asarray(err, float), s2=cs.CertifiedValue(*s2),
         s4=cs.CertifiedValue(1.0, 0.0), dim=dim, alpha=alpha)
 
 
@@ -205,6 +205,42 @@ def test_refusal_radius_uses_the_certificate_packing_radius():
     assert need == pytest.approx(5.65549e6, rel=1e-5)  # 1.69665e6 with r_pack 0.5
 
 
+@pytest.mark.parametrize("R, alpha, tol, times, message", [
+    (1000.0, 0.505, 1e-6, np.arange(0.0, 8.005, 0.01),
+     "truncation certificate 2 exceeds tol=1e-06 at t=8; "
+     "no finite region_radius meets it"),
+    (100.0, 0.6, 1e-300, np.arange(0.0, 8.005, 0.01),
+     "truncation certificate 2 exceeds tol=1e-300 at t=8; "
+     "no finite region_radius meets it"),
+    (100.0, 0.6, 5e-324, np.arange(0.0, 8.005, 0.01),
+     "truncation certificate 2 exceeds tol=4.94066e-324 at t=8; "
+     "no finite region_radius meets it"),
+    (100.0, 0.6, 0.1, np.array([0.0, 1e299, 1e300]),
+     "dropped cosine arguments reach 1 at t=1e+300; "
+     "no finite region_radius meets it"),
+], ids=["alpha-near-half", "tol-1e-300", "tol-target-underflows", "tmax-1e300"])
+def test_a_window_radius_past_the_float_range_is_refused_by_name(R, alpha, tol,
+                                                                 times, message):
+    # the radius a refusal asks for overflows, or inverts a target tail that
+    # underflows to 0: no finite window meets the certificate, a refusal
+    # rather than an OverflowError or a ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cs.evaluate_profile(cs.gen_lattice(1, R), None, alpha, 10.0, times, tol)
+
+
+def test_compact_bound_refuses_an_s2_interval_that_reaches_zero():
+    # no Poisson site lies at |p| >= 10 in a window of radius 10: S2's
+    # certified lower end is 0, and S4/S2^2 has no finite bound
+    ps = cs.gen_poisson_disk(2, 10.0, 1.0, seed=0)
+    prof = cs.evaluate_profile(ps, None, 1.5, 10.0, np.arange(0.0, 8.005, 0.01),
+                               tol=2.0)
+    assert prof.s2.value - prof.s2.err == 0.0
+    for p in (prof, synthetic_profile([0.0, 1.0], [1.0, 0.5], s2=(1.0, 1.5))):
+        with pytest.raises(ValueError, match="^S2's certified lower end "
+                           "-?[0-9.e+-]+ is not > 0: S4/S2\\^2 has no finite bound$"):
+            cs.compact_bound_check(p)
+
+
 # ------------------------------------------------------------- compact bound
 
 def test_compact_bound_holds_on_certified_profile(line_large):
@@ -312,6 +348,39 @@ def test_profile_refuses_nan_values_and_errors(field, message):
     arrays[field][1] = math.nan
     with pytest.raises(ValueError, match=message):
         synthetic_profile([0.0, 1.0], arrays["values"], arrays["err"])
+
+
+_FLAT = synthetic_profile(np.linspace(0.0, 3.0, 7), np.full(7, 0.5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: synthetic_profile([0.0, 1.0], [1.0]),
+     "times/values/err must be 1-D arrays of equal length"),
+    (lambda: synthetic_profile([[0.0, 1.0]], [[1.0, 0.5]]),
+     "times/values/err must be 1-D arrays of equal length"),
+    (lambda: synthetic_profile([1.0, 0.0], [0.5, 1.0]),
+     "times must be strictly ascending"),
+    (lambda: synthetic_profile([0.0, 0.0], [1.0, 1.0]),
+     "times must be strictly ascending"),
+    (lambda: cs.evaluate_profile(cs.gen_lattice(1, 50.0), None, 1.0, 1.0,
+                                 np.array([]), 0.1),
+     "times must be a nonempty finite 1-D grid"),
+    (lambda: cs.evaluate_profile(cs.gen_lattice(1, 50.0), None, 1.0, 1.0,
+                                 np.array([0.0, math.nan]), 0.1),
+     "times must be a nonempty finite 1-D grid"),
+    (lambda: cs.decay_envelope_check(_FLAT, 0.0, 1.0), "need k > 0 and T > 0"),
+    (lambda: cs.decay_envelope_check(_FLAT, 1.0, -1.0), "need k > 0 and T > 0"),
+    (lambda: cs.decay_envelope_check(_FLAT, 1.0, 3.5),
+     "grid does not extend beyond T"),
+    (lambda: cs.fit_gaussian(synthetic_profile(np.linspace(0.0, 3.0, 7),
+                                               np.full(7, 0.05))),
+     "no values above 0.05 to fit"),
+], ids=["lengths-differ", "not-1d", "descending", "repeated", "empty-times",
+        "nan-time", "envelope-k-0", "envelope-T-negative", "envelope-T-past-grid",
+        "fit-nothing-above-0.05"])
+def test_ramsey_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------- properties

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -330,3 +331,23 @@ def test_char_function_refuses_an_empty_time_list():
 def test_char_function_refuses_nan_time_before_sampling():
     with pytest.raises(ValueError, match=r"\|t\| must be <= 50"):
         cs.char_function_check(10 ** 4, [1.0, math.nan], seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cs.cos_product(3, [1.0], 0.0), "tol must be > 0"),
+    (lambda: cs.cos_product(3, [1.0], -1e-9), "tol must be > 0"),
+    (lambda: cs.cos_product(3, [1.0], math.nan), "tol must be > 0"),
+    (lambda: cs.cantor_function(0.5, 0), "need 1 <= depth <= 60"),
+    (lambda: cs.cantor_function(0.5, 61), "need 1 <= depth <= 60"),
+    (lambda: cs.cantor_function(-0.25, 10), "y must lie in [0, 1]"),
+    (lambda: cs.cantor_function(1.5, 10), "y must lie in [0, 1]"),
+    (lambda: cs.d_map_exact(-0.5, 10), "x must lie in [0, 1]"),
+    (lambda: cs.d_map_exact(1.25, 10), "x must lie in [0, 1]"),
+    (lambda: cs.d_map_exact(0.3, 0), "need 1 <= depth <= 200"),
+    (lambda: cs.d_map_exact(0.3, 201), "need 1 <= depth <= 200"),
+], ids=["cos-tol-0", "cos-tol-negative", "cos-tol-nan", "cantor-depth-0",
+        "cantor-depth-61", "cantor-y-below", "cantor-y-above", "dmap-x-below",
+        "dmap-x-above", "dmap-depth-0", "dmap-depth-201"])
+def test_spectra_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
