@@ -58,12 +58,14 @@ and large superaccumulators", arXiv:1505.05571):
    Python ``int``, are the exact total, returned as a ``Fraction``;
    ``float`` of it (``int / int``) rounds it once, correctly.
 
-``delone_tail_sum`` keeps the exact window sum S and rounds its interval
-outward: with tail the float tail bound, [value - err, value + err],
-evaluated in floats, contains [S, S + tail] exactly, and err is the least
-float >= tail/2 that does so.  ``seq_sum_integral_check`` builds its
-interval the same way: its head through ``_exact_sum``, its bracket in
-rationals, its err through ``_outward_err``.
+Every ``CertifiedValue`` is built by one routine, ``_interval(lo, hi)``,
+from an exact rational bracket: with w = hi - lo rounded up, the value is
+fl(lo) + w/2 and err the least float >= w/2 for which [value - err,
+value + err], evaluated in floats, contains [lo, hi] (``_outward_err``).
+``delone_tail_sum`` passes [S, S + tail], S the exact window sum and tail
+the float tail bound; ``seq_sum_integral_check`` its midpoint bracket, in
+rationals; ``asymptotic_ratio`` its float endpoints, each widened by its
+proved relative error.
 
 Both refuse, naming alpha, any term or bound that is not a finite float
 >= 2^-1022 (``_check_normal``): below the normal range a term loses its
@@ -82,13 +84,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .pointsets import DeloneRadii, PointSet
+from .pointsets import _NORMAL_MIN, DeloneRadii, PointSet
 
 __all__ = [
     "CertifiedValue",
@@ -103,7 +104,6 @@ __all__ = [
 
 _HALF = 26  # bits in the low half of a 53-bit mantissa
 _MAX_SITES = 1 << _HALF  # keeps every exponent bin below 2^53: exact
-_NORMAL_MIN = sys.float_info.min  # 2^-1022, the least normal float
 _EPS = 2.0 ** -53  # unit roundoff u
 
 
@@ -279,12 +279,9 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     the tail bound is not a finite float >= 2^-1022 (``_check_normal``):
     at alpha = 400 in d = 1, S(10) ~ 2e-400 would read 0.
 
-    The value is fl(fl(S) + tail/2), S the exact window sum.  err starts at
-    tail/2 and is widened to the least float for which the endpoints, as
-    ``CertifiedValue`` computes them in floats, satisfy lo <= S and
-    hi >= S + tail (``_outward_err``): rounding the centre and the
-    endpoints would otherwise leave lo up to an ulp above S, or hi below
-    S + tail.
+    The interval is ``_interval(S, S + tail)``, S the exact window sum:
+    the value is fl(fl(S) + tail/2), and err the least float >= tail/2 for
+    which the float endpoints satisfy lo <= S and hi >= S + tail.
 
     ``radii`` is accepted and not read: the packing radius is the set's
     own (``PointSet._r_pack_certified``), so a set that proves none and
@@ -300,17 +297,13 @@ def delone_tail_sum(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     rho, cnt = ps.shells(r)
     terms = rho ** (-alpha)
     exact = _exact_sum(terms, cnt)
-    finite = float(exact)  # the terms are >= 0: no -0.0 to keep
     tail_cut = ps.region_radius - rp
     if tail_cut <= 0.0:
         raise ValueError("region too small for the packing radius")
     tail = _packing_tail(d, rp, alpha, tail_cut)
     # rho ascends, so the last window term is the smallest
     _check_normal(alpha, tail, *terms[-1:])
-    # centre the interval on finite + tail/2 so err is half the bracket
-    value = finite + 0.5 * tail
-    return CertifiedValue(value=value, err=_outward_err(
-        value, 0.5 * tail, exact, exact + Fraction(tail)))
+    return _interval(exact, exact + Fraction(tail))
 
 
 def _packing_tail(d: int, rp: float, alpha: float, x: float) -> float:
@@ -337,6 +330,19 @@ def _required_r_max(ps: PointSet, alpha: float, target_tail: float) -> float:
     # invert tail(R) = 3^d d / rp^d * T(alpha, d, R - rp) = target
     t_int = target_tail * rp ** d / ((3.0 ** d) * d)
     return rp + _pow((alpha - d) * t_int, 1.0 / (d - alpha))
+
+
+def _interval(lo: Fraction, hi: Fraction) -> CertifiedValue:
+    """The interval of the exact bracket [lo, hi], rounded outward.
+
+    With w = hi - lo rounded up, the value is fl(fl(lo) + w/2) and err the
+    least float >= w/2 for which the float endpoints hold the bracket
+    (``_outward_err``).  Every ``CertifiedValue`` in the package is built
+    here.
+    """
+    w = _rounded(hi - lo, math.inf)
+    value = float(lo) + 0.5 * w
+    return CertifiedValue(value=value, err=_outward_err(value, 0.5 * w, lo, hi))
 
 
 def _outward_err(value: float, err: float, lo: Fraction, hi: Fraction) -> float:
@@ -411,14 +417,13 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
     level up.  The sequence side is summed exactly to a cutoff N >= 2M and
     its remainder certified by the *same* identity applied at N + 1, so
     the residual uncertainty is a factor ~2^(alpha+1) below the claimed
-    correction bound at every alpha > 1.  As in ``delone_tail_sum``, the
-    head is the exact sum of its float terms (``_exact_sum``), the
-    bracket [head + rem_int - rem_corr, head + rem_int] is formed in
-    rationals, and err is rounded outward (``_outward_err``) so that both
-    float endpoints hold it.  M is capped at 2^25, which keeps
-    the head's M + 1 terms inside the exact-sum range of 2^26 and its
-    arrays near 256 MiB; each term and bound must be a normal float
-    (``_check_normal``).  ``holds`` records certified containment:
+    correction bound at every alpha > 1.  Both brackets are ``_midpoint``'s.
+    The head is the exact sum of its float terms (``_exact_sum``), and the
+    bracket [head + rem_int - rem_corr, head + rem_int], formed in
+    rationals, becomes the interval through ``_interval``.  M is capped at
+    2^25, which keeps the head's M + 1 terms inside the exact-sum range of
+    2^26 and its arrays near 256 MiB; each term and bound must be a normal
+    float (``_check_normal``).  ``holds`` records certified containment:
     integral - correction_bound <= seq <= integral.
     """
     if not alpha > 1.0:  # also refuses nan
@@ -431,25 +436,27 @@ def seq_sum_integral_check(alpha: float, M: int) -> SeqIntegralReport:
         raise ValueError("need M >= 2 so the correction bound is usable")
     if M > 1 << 25:
         raise ValueError("need M <= 2^25 so the head sums exactly")
-    integral = (M - 0.5) ** (1.0 - alpha) / (alpha - 1.0)
-    corr = alpha * _pow(M - 1.5, -alpha - 1.0) / 24.0
+    integral, corr = _midpoint(alpha, M)
     N = max(2 * M, 1000)
     n = np.arange(M, N + 1, dtype=np.float64)
     terms = n ** (-alpha)
     # remainder over n >= N+1 certified recursively: it lies in
     # [tail_integral - corr(N+1), tail_integral]
-    rem_int = (N + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
-    rem_corr = alpha * (N - 0.5) ** (-alpha - 1.0) / 24.0
+    rem_int, rem_corr = _midpoint(alpha, N + 1)
     _check_normal(alpha, terms[-1], corr, rem_corr)
-    head = _exact_sum(terms)
-    hi = head + Fraction(rem_int)
-    lo = hi - Fraction(rem_corr)
-    value = float((lo + hi) / 2)
-    seq = CertifiedValue(value=value, err=_outward_err(
-        value, 0.5 * rem_corr, lo, hi))
+    hi = _exact_sum(terms) + Fraction(rem_int)
+    seq = _interval(hi - Fraction(rem_corr), hi)
     holds = (integral - corr <= seq.lo) and (seq.hi <= integral)
     return SeqIntegralReport(M=int(M), seq_sum=seq, integral=integral,
                              correction_bound=corr, holds=holds)
+
+
+def _midpoint(alpha: float, M: int) -> tuple[float, float]:
+    """The midpoint bracket of sum_{n >= M} n^(-alpha): the integral
+    T(alpha, 1, M - 1/2) and the correction bound alpha (M - 3/2)^(-alpha-1)
+    / 24 (``seq_sum_integral_check``), as floats."""
+    return (integral_tail(alpha, 1, M - 0.5),
+            alpha * _pow(M - 1.5, -alpha - 1.0) / 24.0)
 
 
 def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float,
@@ -465,18 +472,24 @@ def asymptotic_ratio(ps: PointSet, radii: DeloneRadii, alpha: float,
 
     which pinches (per set) as r grows; the first return value is the
     measured ratio (r^(alpha-d) times the centre of the certified S(r)
-    interval), the second the certified window as a CertifiedValue
-    centred on the bracket and containing it exactly.  Rounding: with
-    u = 2^-53 and e = alpha - d (exact in floats, as 0 < d < alpha), each
-    endpoint carries at most 12 u from its own roundings (pow within 1 ulp)
-    plus 2e u (twice the first-order e u) from rounding r + rc or r - rp
-    before the power -e; centring and reading ``lo``/``hi`` back cost at
-    most 4 u * hi, so ``err`` is padded by (16 + 2e) u * hi.
+    interval), the second the certified window, the interval
+    (``_interval``) of the computed endpoints widened to hold the bracket.
+
+    Rounding: with u = 2^-53 and e = alpha - d (exact in floats, as
+    0 < d < alpha < 2^53), each computed endpoint is its exact value times
+    1 + theta.  Its own roundings are at most 12 (a pow within 1 ulp counts
+    as two), and rounding r + rc or r - rp by 1 + delta before the power
+    -e gives the factor (1 + delta)^(-e), within gamma_k of 1 for k =
+    ceil(e) (Bernoulli's inequality).  Charging that factor 2k roundings,
+    |theta| <= gamma_n with n = 12 + 2 ceil(e) (Higham, Lemma 3.3).  So the
+    exact lower end is >= lo / (1 + gamma_n) = lo (1 - n u), and the exact
+    upper end is <= hi / (1 - gamma_n) = hi (1 - n u) / (1 - 2 n u), both
+    exact rationals.
     """
     res = sandwich_check(ps, radii, alpha, r)
     e = alpha - ps.dim
     scale = r ** e
-    lo, hi = scale * res.lower, scale * res.upper
-    pad = (16.0 + 2.0 * e) * _EPS * hi
-    window = CertifiedValue(value=0.5 * (lo + hi), err=0.5 * (hi - lo) + pad)
-    return scale * res.finite_sum, window
+    shrink = 1 - (12 + 2 * math.ceil(e)) * Fraction(_EPS)  # 1 - n u
+    lo = Fraction(scale * res.lower) * shrink
+    hi = Fraction(scale * res.upper) * shrink / (2 * shrink - 1)
+    return scale * res.finite_sum, _interval(lo, hi)

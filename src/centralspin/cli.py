@@ -225,23 +225,19 @@ def _cmd_basis(args) -> int:
         raise ValueError("--kmax must be in [0, 20] with largest Fourier index "
                          "2^kmax * nrange + 2^(kmax-1) <= 10^6, got --kmax "
                          f"{k} --nrange {args.nrange}")
-    rng_idx = np.arange(2 * args.pairs, dtype=np.int64)
-    draws = counter_uniform(args.seed, rng_idx)
     pairs = []
-    for i in range(args.pairs):
-        a = _random_index(draws[2 * i], args.kmax)
-        b = _random_index(draws[2 * i + 1], args.kmax)
+    for a, b in _index_pairs(args.seed, args.pairs, args.kmax):
         ip = basis_mod.inner_product(a, b)
         pairs.append({"alpha": list(a), "beta": list(b), "inner": ip,
                       "expected": 1.0 if a == b else 0.0})
     fourier = []
     for k in range(1, args.kmax + 1):
         for n in range(-args.nrange, args.nrange + 1):
-            m = (1 << k) * n + (1 << (k - 1))
+            m, mag = _fourier_support(k, n)
             c = basis_mod.fourier_coeff(k, m)
             fourier.append({"k": k, "n": n, "m": m,
                             "re": c.real, "im": c.imag,
-                            "predicted_mag": (1.0 / math.pi) / abs(n + 0.5)})
+                            "predicted_mag": mag})
     _write_json(args.out, args, orthonormality=pairs, fourier_support=fourier)
     return 0
 
@@ -250,6 +246,20 @@ def _random_index(u: float, kmax: int) -> tuple[int, ...]:
     """Small random ascending index set decoded from one uniform draw."""
     bits = int(u * (1 << kmax)) & ((1 << kmax) - 1)
     return tuple(n + 1 for n in range(kmax) if (bits >> n) & 1)
+
+
+def _index_pairs(seed: int, count: int, kmax: int):
+    """Yield ``count`` pairs of random index sets (``_random_index``), pair
+    i decoded from draws 2i and 2i + 1 of ``counter_uniform(seed, .)``."""
+    u = counter_uniform(seed, np.arange(2 * count, dtype=np.int64))
+    for i in range(count):
+        yield _random_index(u[2 * i], kmax), _random_index(u[2 * i + 1], kmax)
+
+
+def _fourier_support(k: int, n: int) -> tuple[int, float]:
+    """The Fourier index m = 2^k n + 2^(k-1) of level k and the magnitude
+    (1/pi) / |n + 1/2| its coefficient should have."""
+    return (1 << k) * n + (1 << (k - 1)), (1.0 / math.pi) / abs(n + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +335,7 @@ def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], bool]]]:
     checks.append(("Gaussian distance below (t^4/12) S4/S2^2", compact))
 
     def orthonormal() -> bool:
-        n = 50 if quick else 200
-        u = counter_uniform(17, np.arange(2 * n, dtype=np.int64))
-        for i in range(n):
-            a = _random_index(u[2 * i], 12)
-            b = _random_index(u[2 * i + 1], 12)
+        for a, b in _index_pairs(17, 50 if quick else 200, 12):
             expected = 1.0 if a == b else 0.0
             if basis_mod.inner_product(a, b) != expected:
                 return False
@@ -347,9 +353,9 @@ def _verify_checks(quick: bool) -> list[tuple[str, Callable[[], bool]]]:
         kmax = 5 if quick else 10
         for k in range(1, kmax + 1):
             for n in (-3, -1, 0, 1, 4):
-                m = (1 << k) * n + (1 << (k - 1))
+                m, mag = _fourier_support(k, n)
                 c = basis_mod.fourier_coeff(k, m)
-                if abs(abs(c) - (1.0 / math.pi) / abs(n + 0.5)) > 1e-12:
+                if abs(abs(c) - mag) > 1e-12:
                     return False
                 if abs(basis_mod.fourier_coeff(k, m + 1)) > 1e-12:
                     return False

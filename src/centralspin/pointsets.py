@@ -44,6 +44,7 @@ and radii read the shells alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -67,12 +68,18 @@ __all__ = [
 ]
 
 _DIMS = (1, 2, 3)
-# probes per KD query of the fill sweep, and per d = 1 chunk of
-# _probe_lattice: a batch bounds the probes, distances and indices held at
-# once, so the sweep does not set the generator's peak memory, and is
-# large enough that few queries pay for starting the KD tree's threads,
-# which every query does (a query per d = 2 slab took 4x the time)
+# probes per KD query of the fill sweep and of insertable_probes, and per
+# d = 1 chunk of _probe_lattice: a batch bounds the probes, distances and
+# indices held at once, so the sweep does not set the generator's peak
+# memory, and is large enough that few queries pay for starting the KD
+# tree's threads, which every query does (a query per d = 2 slab took 4x
+# the time)
 _PROBE_BATCH = 1 << 18
+# 2^-1022, the least normal float: a squared length here, or a tail-sum
+# term or bound in ``bounds``, below it loses its relative precision or
+# reads 0
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_RANGE = "[2^-1022, 2^1024)"
 
 
 def _nearest(points: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
@@ -116,12 +123,15 @@ class PointSet:
 
     Invariants enforced at construction: every point satisfies
     0 < |p| <= region_radius (the origin hosts the central spin and is never
-    a bath site), and there are no duplicate rows.  For generated kinds the
-    set contains *all* points of the underlying infinite set inside the
-    ball; ``meta`` records the generator and its parameters, including the
-    structural packing-radius certificate ``r_pack_structural`` that the
-    tail-bound machinery relies on.  ``radii`` holds the radial distances
-    rho = |p|, the norms taken once to validate the set.
+    a bath site), its squared norm is a normal float (a nonzero row whose
+    squared norm is subnormal, 0 or infinite is refused: its norm would
+    lose its precision, read 0 or overflow), and there are no duplicate
+    rows.  For generated kinds the set contains *all* points of the
+    underlying infinite set inside the ball; ``meta`` records the generator
+    and its parameters, including the structural packing-radius
+    certificate ``r_pack_structural`` that the tail-bound machinery relies
+    on.  ``radii`` holds the radial distances rho = |p|, the norms taken
+    once to validate the set.
 
     The constructor is the only code that writes a set: the set, its
     arrays and its ``meta`` (a read-only mapping over a copy) are
@@ -158,9 +168,16 @@ class PointSet:
                 raise ValueError(f"points must have shape (n, {dim}), got {pts.shape}")
             if not np.isfinite(pts).all():
                 raise ValueError("points must be finite")
-            norms = np.linalg.norm(pts, axis=1)
-            if pts.shape[0] and not (norms > 0).all():
+            with np.errstate(over="ignore"):  # refused just below
+                sq = (pts * pts).sum(axis=1)  # the squares np.linalg.norm sums
+            off = ~((sq >= _NORMAL_MIN) & (sq < math.inf))
+            if off.any():
+                if pts[off].any():
+                    raise ValueError(f"a point's squared norm leaves the normal "
+                                     f"float range {_NORMAL_RANGE}: its norm "
+                                     f"would underflow or overflow")
                 raise ValueError("the origin (central spin site) cannot be a bath point")
+            norms = np.sqrt(sq)
             if pts.shape[0] and norms.max() > region_radius:
                 raise ValueError("all points must satisfy |p| <= region_radius")
             # equal rows sort next to each other; float equality, so -0.0 and
@@ -471,7 +488,9 @@ def insertable_probes(ps: PointSet) -> np.ndarray:
     themselves sample points do not count).  For a gen_poisson_disk output
     the result is empty by construction — the generator's maximality
     certificate, re-derived here with a KD tree, independently of the
-    generator's occupancy grid.
+    generator's occupancy grid.  The KD queries run in batches
+    (``_far_probes``), as the fill sweep's do; there they only thin the
+    probes, and the grid judges the sample.
     """
     if not {"r_min", "fill_spacing"} <= ps.meta.keys():
         raise ValueError("insertable_probes needs r_min and fill_spacing in "
@@ -480,12 +499,22 @@ def insertable_probes(ps: PointSet) -> np.ndarray:
     spacing = float(ps.meta["fill_spacing"])
     if not (0.0 < spacing <= r_min):
         raise ValueError("need 0 < fill_spacing <= r_min")
-    query = _nearest(ps.points)
-    holes = []
-    for block in _probe_lattice(ps.dim, ps.region_radius, r_min, spacing):
-        dist, _ = query(block)
-        holes.append(block[dist >= r_min])
-    return np.concatenate(holes, axis=0) if holes else np.empty((0, ps.dim))
+    return _far_probes(ps.points, _probe_lattice(
+        ps.dim, ps.region_radius, r_min, spacing), r_min)
+
+
+def _far_probes(points: np.ndarray, blocks, r_min: float) -> np.ndarray:
+    """The rows of ``blocks`` at distance >= r_min from every one of
+    ``points``, in order.
+
+    One KD query per batch of at least _PROBE_BATCH rows (``_batches``), not
+    per block: every query starts the tree's threads.  A row's distance
+    does not depend on its batch.
+    """
+    query = _nearest(points)
+    kept = [batch[query(batch)[0] >= r_min]
+            for batch in _batches(blocks, _PROBE_BATCH)]
+    return np.concatenate(kept) if kept else np.empty((0, points.shape[1]))
 
 
 def _exclude(occ: np.ndarray, buf: np.ndarray, offs: np.ndarray,
@@ -589,14 +618,23 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
     r_min/2 covers the bath together with the origin site.
 
     A padded grid of more than _MAX_GRID_CELLS = 2^22 cells is refused
-    before any grid is allocated.  Peak RSS, the interpreter and its
-    imports included, is about 0.13-0.16 kB a cell in d = 2 (541 MB for
-    R_max = 720, r_min = 1: 4.17M cells, just under the cap), 0.15 kB in
-    d = 1 and 0.11 kB in d = 3.
+    before any grid is allocated, and so is a pair whose squared lengths
+    leave the normal float range: r_min^2 below 2^-1022, or d (2 R_max)^2,
+    a bound on every squared length the generator forms, past 2^1024.
+    Peak RSS, the interpreter and its imports included, is about 0.13-0.16
+    kB a cell in d = 2 (541 MB for R_max = 720, r_min = 1: 4.17M cells,
+    just under the cap), 0.15 kB in d = 1 and 0.11 kB in d = 3.
     """
     _check_dim(d)
     if not 0 < r_min <= R_max < math.inf:
         raise ValueError("need 0 < r_min <= R_max < inf")
+    # r_min^2 is the least squared distance compared, and no squared length
+    # formed reaches d (2 R_max)^2
+    if not (r_min * r_min >= _NORMAL_MIN and 4.0 * d * R_max * R_max < math.inf):
+        raise ValueError(f"r_min = {r_min:g} and R_max = {R_max:g} give squared "
+                         f"lengths outside the normal float range "
+                         f"{_NORMAL_RANGE}: need r_min^2 >= 2^-1022 and "
+                         f"4 d R_max^2 < 2^1024")
     fill_spacing = r_min / _FILL_DIVISOR[d]
 
     cell = r_min / math.sqrt(d)
@@ -675,12 +713,9 @@ def gen_poisson_disk(d: int, R_max: float, r_min: float, seed: int) -> PointSet:
         probes = (block[dead_phase[flat_of(np.floor((block - lo) / cell)
                                            .astype(np.int64))] >= 0]
                   for block in _probe_lattice(d, R_max, r_min, fill_spacing))
-        # KD queries only thin the probes; the grid judges them below.  A
-        # probe's distance does not depend on its batch.
-        query = _nearest(buf[:n_pts])
-        surv = np.concatenate([  # lexicographic, as the lattice yields
-            batch[query(batch)[0] >= r_min]
-            for batch in _batches(probes, _PROBE_BATCH)])
+        # KD queries only thin the probes; the grid judges them below.
+        # Survivors are lexicographic, as the lattice yields
+        surv = _far_probes(buf[:n_pts], probes, r_min)
         sflat = flat_of(np.floor((surv - lo) / cell).astype(np.int64))
         while True:
             sphase = dead_phase[sflat]  # every survivor lies in a dead cell

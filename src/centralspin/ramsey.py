@@ -245,10 +245,11 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     far sites (largest argument <= X0) enter through their even moments.
     err(t) bounds the window truncation, the series remainder and the series
     rounding, clamped to [0, 2]; the module docstring states the chain and
-    what it leaves out.  The window term needs every dropped argument < 1 at
-    max |t| (enforced).  Raises if the window certificate at max |t| exceeds
-    ``tol``, or if a dropped argument reaches 1, reporting the window
-    radius that would achieve it, or that no finite one does.
+    what it leaves out.  The window term W is evaluated once, on the unique
+    |t|, and needs every dropped argument < 1 at max |t| (enforced).  Raises
+    if a dropped argument reaches 1, or if W at max |t|, the value err
+    carries, clamped at 2, exceeds ``tol``; either refusal reports the
+    window radius that would achieve it, or that no finite one does.
 
     ``radii`` is accepted and not read, as in ``delone_tail_sum``: the tail
     sums take the set's own packing radius.  Callers in this package pass
@@ -261,7 +262,8 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     s2 = delone_tail_sum(ps, None, 2 * alpha, r)
     s4 = delone_tail_sum(ps, None, 4 * alpha, r)
     lam = 1.0 / math.sqrt(s2.value)
-    t_max = float(np.max(np.abs(times)))
+    at, inv = np.unique(np.abs(times), return_inverse=True)
+    t_max = float(at[-1])
 
     # certificate validity: the largest dropped argument must stay below 1
     if t_max * lam * ps.region_radius ** (-alpha) >= 1.0:
@@ -270,7 +272,8 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
             f"dropped cosine arguments reach 1 at t={t_max:g}; "
             f"{_window_need('>', need)}")
     s_tail = 2.0 * s2.err / s2.value  # bound on the dropped normalized square sum
-    err_at_max = min(2.0, math.expm1(min(t_max * t_max * s_tail, _W_CAP)))
+    window = np.expm1(np.minimum(at ** 2 * s_tail, _W_CAP))
+    err_at_max = min(2.0, float(window[-1]))
     if err_at_max > tol:
         tail_target = math.log1p(tol) * s2.value / (t_max * t_max)
         need = _required_r_max(ps, 2 * alpha, tail_target)
@@ -281,10 +284,9 @@ def evaluate_profile(ps: PointSet, radii: DeloneRadii | None, alpha: float,
     u_radii, counts = ps.shells(r)
     u = u_radii ** (-alpha) * lam
     far = u * t_max <= _X0
-    at, inv = np.unique(np.abs(times), return_inverse=True)
     log_far, far_err = _far_series(u[far], counts[far], at, t_max)
     values = _near_product(u[~far], counts[~far], at, log_far)
-    err = np.minimum(2.0, np.expm1(np.minimum(at ** 2 * s_tail, _W_CAP)) + far_err)
+    err = np.minimum(2.0, window + far_err)
     return RamseyProfile(r=float(r), times=times, values=values[inv], err=err[inv],
                          s2=s2, s4=s4, dim=ps.dim, alpha=float(alpha))
 
@@ -302,13 +304,13 @@ def compact_bound_check(profile: RamseyProfile) -> GaussianDiag:
     is consistent with every value the certificates allow.  Refuses a
     profile whose S2 interval reaches 0: S4/S2^2 then has no finite bound.
     """
-    s2_lo = profile.s2.value - profile.s2.err
+    s2_lo = profile.s2.lo
     if not s2_lo > 0.0:
         raise ValueError(f"S2's certified lower end {s2_lo:.6g} is not > 0: "
                          f"S4/S2^2 has no finite bound")
     t = profile.times
     lhs = np.abs(profile.values - profile.gaussian)
-    ratio = (profile.s4.value + profile.s4.err) / s2_lo ** 2
+    ratio = profile.s4.hi / s2_lo ** 2
     rhs = t ** 4 / 12.0 * ratio
     ok = bool(np.all(lhs <= rhs + profile.err))
     return GaussianDiag(bound_rhs=rhs, envelope_ok=ok)

@@ -1,6 +1,7 @@
 """Certified tail sums, integral sandwiches, and midpoint comparisons."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -36,6 +37,44 @@ def test_certified_value_rejects_negative_err():
 def test_certified_value_refusals_name_their_reason(value, err, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         cs.CertifiedValue(value=value, err=err)
+
+
+def _random_brackets(rng, n):
+    """n rational brackets (lo, hi): lo on a float, on a tie between two
+    floats or between them elsewhere, at exponents from the subnormals to
+    2^1000, with widths 0, subnormal, below the least subnormal, a tie
+    width or a random share of |lo|."""
+    for _ in range(n):
+        f = math.ldexp(rng.getrandbits(53) | 1 << 52, rng.randint(-1126, 948))
+        f = -f if rng.random() < 0.5 else f
+        ulp = Fraction(math.ulp(f))
+        lo = Fraction(f) + rng.choice((0, ulp / 2, ulp * Fraction(
+            rng.getrandbits(20), 1 << 20)))
+        w = rng.choice((
+            Fraction(0), Fraction(rng.randint(1, 9), 1 << 1075),
+            Fraction(1, 1 << rng.randint(1076, 1200)),
+            ulp * rng.randint(1, 8) + ulp / 2,
+            abs(lo) * Fraction(rng.getrandbits(30), 1 << rng.randint(30, 90))))
+        yield lo, lo + w
+
+
+def test_interval_holds_its_bracket_with_the_least_err():
+    # fl(value - err) <= lo and fl(value + err) >= hi, as CertifiedValue
+    # computes its ends; value is fl(lo) + w/2 for w = hi - lo rounded up,
+    # and any err above fl(w/2) is the least that holds the bracket
+    rng = random.Random(28)
+    widened = 0
+    for lo, hi in _random_brackets(rng, 4000):
+        v = bounds._interval(lo, hi)
+        w = bounds._rounded(hi - lo, math.inf)
+        assert v.value == float(lo) + 0.5 * w, (lo, hi)
+        assert Fraction(v.lo) <= lo and Fraction(v.hi) >= hi, (lo, hi)
+        assert v.err >= 0.5 * w
+        if v.err > 0.5 * w:
+            widened += 1
+            less = cs.CertifiedValue(v.value, math.nextafter(v.err, 0.0))
+            assert Fraction(less.lo) > lo or Fraction(less.hi) < hi, (lo, hi)
+    assert widened > 400  # rounding the ends widens err in many cases
 
 
 # ------------------------------------------------------------- integral_tail

@@ -304,6 +304,24 @@ def test_an_s2_interval_reaching_zero_exits_two(tmp_path):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("rmax, rmin", [("1e156", "1e155"), ("1e-159", "1e-160"),
+                                        ("1e-199", "1e-200")],
+                         ids=["squares-overflow", "squares-subnormal",
+                              "squares-underflow"])
+def test_poisson_lengths_whose_squares_leave_the_float_range_exit_two(
+        rmax, rmin, tmp_path, monkeypatch, capsys):
+    # squared lengths past 2^1024 raised an OverflowError (exit 1); below
+    # 2^-1022 they were refused for the wrong reason (r_cover, the origin)
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["points", "--dim", "2", "--set", "poisson", "--rmax", rmax,
+                    "--rmin", rmin, "--out", "p.csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: r_min = {float(rmin):g} and R_max = {float(rmax):g} give "
+        f"squared lengths outside the normal float range [2^-1022, 2^1024): "
+        f"need r_min^2 >= 2^-1022 and 4 d R_max^2 < 2^1024\n")
+    assert not os.listdir(tmp_path)
+
+
 def test_a_wide_poisson_window_meets_its_grid_refusal(tmp_path, monkeypatch,
                                                       capsys):
     # the --rmax cap bounds lattice and jittered windows only: a Poisson

@@ -346,6 +346,26 @@ def test_insertable_probes_flags_a_real_hole():
     assert cs.insertable_probes(thinned).shape[0] > 0
 
 
+@pytest.mark.parametrize("d, R, batch", [(2, 30.0, None), (2, 20.0, 1000),
+                                         (3, 8.0, 777)])
+def test_batched_probe_queries_equal_a_per_slab_reference(monkeypatch, d, R,
+                                                          batch):
+    # every fifth point removed leaves holes in many slabs; the probes span
+    # more than one batch (282,000 at the real batch of 2^18), and batch
+    # ends fall inside slabs
+    ps = cs.gen_poisson_disk(d, R, 1.0, seed=7)
+    thinned = cs.PointSet(d, np.delete(ps.points, np.s_[::5], axis=0), R,
+                          meta=dict(ps.meta))
+    blocks = list(pointsets._probe_lattice(d, R, 1.0, ps.meta["fill_spacing"]))
+    if batch is not None:
+        monkeypatch.setattr(pointsets, "_PROBE_BATCH", batch)
+    assert sum(b.shape[0] for b in blocks) > 1.05 * pointsets._PROBE_BATCH
+    tree = cKDTree(thinned.points)
+    want = np.concatenate([b[tree.query(b)[0] >= 1.0] for b in blocks])
+    got = cs.insertable_probes(thinned)
+    assert want.shape[0] > 0 and np.array_equal(got, want)
+
+
 def test_insertable_probes_argument_validation():
     ps = cs.gen_lattice(2, 10.0)  # no r_min in meta
     with pytest.raises(ValueError):
@@ -362,6 +382,16 @@ def test_insertable_probes_refuses_a_set_without_its_fill_spacing():
 
 def _line(meta=None):
     return cs.PointSet(1, [[1.0], [-2.0]], 5.0, meta)
+
+
+_SQUARES_OFF = ("a point's squared norm leaves the normal float range "
+                "[2^-1022, 2^1024): its norm would underflow or overflow")
+
+
+def _poisson_off(r_min, R_max):
+    return (f"r_min = {r_min:g} and R_max = {R_max:g} give squared lengths "
+            f"outside the normal float range [2^-1022, 2^1024): need "
+            f"r_min^2 >= 2^-1022 and 4 d R_max^2 < 2^1024")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -382,9 +412,23 @@ def _line(meta=None):
     (lambda: cs.count_annulus(_line(), -1.0, 1.0), "need 0 <= a < b"),
     (lambda: cs.count_annulus(_line(), 1.0, 6.0),
      "b exceeds region_radius: the set is incomplete there"),
+    # squared norms past 2^1024, subnormal, or 0 for a nonzero row
+    (lambda: cs.PointSet(1, [[1e300], [-1e300]], 1e300), _SQUARES_OFF),
+    (lambda: cs.PointSet(2, [[1e-160, 1e-160]], 1.0), _SQUARES_OFF),
+    (lambda: cs.PointSet(1, [[1e-300], [-1e-300]], 1e-300), _SQUARES_OFF),
+    (lambda: cs.PointSet(2, [[0.0, 0.0]], 1.0),
+     "the origin (central spin site) cannot be a bath point"),
+    (lambda: cs.gen_poisson_disk(2, 1e156, 1e155, 0), _poisson_off(1e155, 1e156)),
+    (lambda: cs.gen_poisson_disk(3, 1e-159, 1e-160, 0),
+     _poisson_off(1e-160, 1e-159)),
+    (lambda: cs.gen_poisson_disk(1, 1e-199, 1e-200, 0),
+     _poisson_off(1e-200, 1e-199)),
 ], ids=["gen-dim-4", "set-dim-0", "set-shape", "set-flat", "set-nan",
         "set-inf", "probes-spacing-above-r_min", "probes-spacing-0",
-        "annulus-reversed", "annulus-negative", "annulus-past-region"])
+        "annulus-reversed", "annulus-negative", "annulus-past-region",
+        "set-squares-overflow", "set-squares-subnormal", "set-squares-zero",
+        "set-origin", "poisson-squares-overflow", "poisson-squares-subnormal",
+        "poisson-squares-underflow"])
 def test_pointsets_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

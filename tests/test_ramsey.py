@@ -313,6 +313,69 @@ def test_gaussian_fit_recovers_the_width():
     assert abs(cs.fit_gaussian(synthetic_profile(times, np.exp(-times ** 2 / 8.0))) - 2.0) < 1e-9
 
 
+def _residual(prof, beta):
+    """The fit's objective: squared residual of exp(-beta t^2) over the
+    values above 0.05."""
+    sel = prof.values > 0.05
+    t2 = prof.times[sel] ** 2
+    return float(((prof.values[sel] - np.exp(-beta * t2)) ** 2).sum())
+
+
+def _brute_force_beta(prof):
+    """argmin of the residual over beta: a log grid on [1e-3, 1e2], then a
+    golden-section search between the grid neighbours of its minimum."""
+    grid = np.geomspace(1e-3, 1e2, 2001)
+    i = int(np.argmin([_residual(prof, b) for b in grid]))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    while b - a > 1e-13 * b:
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        a, b = (a, d) if _residual(prof, c) < _residual(prof, d) else (c, b)
+    return 0.5 * (a + b)
+
+
+def test_gaussian_fit_minimises_the_residual_of_non_gaussian_profiles():
+    # Newton iterates on each (an exact Gaussian converges in one step) and
+    # lands on the brute-force least-squares width.  The two-site profile
+    # cos^2(t/sqrt(2)) stops at t = 3: past it the profile revives and the
+    # residual has a second, lower minimum that Newton does not reach
+    times = np.linspace(0.0, 4.0, 401)
+    line = cs.gen_lattice(1, 2000.0)
+    profiles = [
+        synthetic_profile(times, np.exp(-times ** 2 / 2.0) * (1.0 + 0.1 * times ** 2)),
+        synthetic_profile(times[:301], np.cos(times[:301] / math.sqrt(2.0)) ** 2),
+        cs.evaluate_profile(line, None, 2.0, 10.0, times, 0.1),
+        cs.evaluate_profile(line, None, 1.0, 3.0, times, 2.0),
+    ]
+    for prof in profiles:
+        beta = 1.0 / (2.0 * cs.fit_gaussian(prof) ** 2)
+        want = _brute_force_beta(prof)
+        assert abs(beta - want) <= 1e-6 * want, (beta, want)
+        assert _residual(prof, beta) <= _residual(prof, want) * (1.0 + 1e-12)
+
+
+def test_gaussian_fit_safeguards():
+    # a flat profile is fitted best by beta -> 0: every Newton step lands
+    # below 0 and is halved, and the width grows without bound
+    times = np.linspace(0.0, 3.0, 5)
+    assert cs.fit_gaussian(synthetic_profile(times, np.ones(5))) > 1e6
+    # the Hessian of the residual is negative at the first Newton iterate:
+    # the fit stops there, below the log-linear start's residual (the
+    # least-squares beta, near 4.09, lies past a non-convex stretch)
+    values = np.array([0.1, 0.1, 0.1, 0.1, 1.0])
+    prof = synthetic_profile(times, values)
+    t2 = times ** 2
+    beta0 = float((t2 * -np.log(values)).sum() / (t2 ** 2).sum())
+    g = np.exp(-beta0 * t2)
+    resid = values - g  # the fit's own expressions, so beta1 is its float
+    beta1 = beta0 - float((resid * t2 * g).sum()) / float(
+        (t2 ** 2 * g * (g - resid)).sum())
+    g1 = np.exp(-beta1 * t2)
+    assert float((t2 ** 2 * g1 * (2.0 * g1 - values)).sum()) < 0.0
+    assert cs.fit_gaussian(prof) == 1.0 / math.sqrt(2.0 * beta1)
+    assert _residual(prof, beta1) < _residual(prof, beta0)
+
+
 def test_gaussian_fit_needs_points_near_the_origin():
     times = np.linspace(4.0, 8.0, 401)
     prof = synthetic_profile(times, np.exp(-times ** 2 / 2.0))
